@@ -1,6 +1,6 @@
 //! Criterion microbenchmark: multiway vs binary merging of SUMMA
-//! intermediate products (§IV), plus the five per-merge kernels
-//! (heap, pairwise, hash, BRMerge, SpAdd) on one k-way merge.
+//! intermediate products (§IV), plus the three per-merge kernels
+//! (heap, BRMerge, SpAdd) on one k-way merge.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use hipmcl_comm::{MachineModel, MergeKernel};
@@ -26,29 +26,10 @@ fn merging(c: &mut Criterion) {
         });
         // The merger consumes its inputs; clone them in setup so the
         // measurement covers merging only (comparable to multiway).
-        // "binary-legacy" pins the pre-arena behavior (pairwise merges
-        // that rematerialize a CSC block each time, fresh merger per
-        // iteration); "binary-arena" is today's Auto — BRMerge k-cursor
-        // merges into recycled arena slack, with the merger (and so its arena)
-        // persisting across iterations like the pipeline's per-lane
-        // pool does across phases.
-        group.bench_with_input(BenchmarkId::new("binary-legacy", k), &mats, |b, mats| {
-            b.iter_batched(
-                || mats.to_vec(),
-                |mats| {
-                    let mut bm = StackMerger::new(
-                        MachineModel::summit(),
-                        MergeKernelPolicy::Fixed(MergeKernel::Pairwise),
-                        SHAPE,
-                    );
-                    for m in mats {
-                        bm.push(m);
-                    }
-                    bm.finish()
-                },
-                BatchSize::LargeInput,
-            )
-        });
+        // "binary-arena" is Auto — BRMerge k-cursor merges into recycled
+        // arena slack, with the merger (and so its arena) persisting
+        // across iterations like the pipeline's per-lane pool does
+        // across phases.
         let mut bm = StackMerger::new(MachineModel::summit(), MergeKernelPolicy::Auto, SHAPE);
         group.bench_with_input(BenchmarkId::new("binary-arena", k), &mats, |b, mats| {
             b.iter_batched(

@@ -35,10 +35,8 @@ fn phase_span(phases: &[usize]) -> String {
 
 fn main() {
     println!("Merge/phase-overlap ablation: idle decomposition per kernel x planner\n");
-    let kernels: [(&str, MergeKernelPolicy); 4] = [
+    let kernels: [(&str, MergeKernelPolicy); 2] = [
         ("heap", MergeKernelPolicy::Fixed(MergeKernel::Heap)),
-        ("pairwise", MergeKernelPolicy::Fixed(MergeKernel::Pairwise)),
-        ("hash", MergeKernelPolicy::Fixed(MergeKernel::Hash)),
         ("auto", MergeKernelPolicy::Auto),
     ];
     let planners: [(&str, PhasePlanner); 2] = [

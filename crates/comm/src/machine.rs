@@ -77,28 +77,18 @@ pub enum MergeKernel {
     /// Cursor-based k-way heap merge (original HipMCL's accumulator):
     /// `total · lg k` comparisons.
     Heap,
-    /// Left-fold of two-way cursor merges. Cheaper constants than a heap
-    /// at fan-in 2 (no sift), but each fold re-scans the accumulator, so
-    /// work grows linearly with the fan-in.
-    Pairwise,
-    /// SpAdd-style hash accumulation (Hussain et al., arXiv:2112.10223;
-    /// Nagasaka et al., arXiv:1804.01698): per-column hash table, O(1)
-    /// per element regardless of fan-in, but a worse constant plus a
-    /// table-setup cost that small merges cannot amortize.
-    Hash,
-    /// BRMerge-style two-way row merge (arXiv:2206.06611) appending into
-    /// reusable arena slabs: same left-fold shape as `Pairwise` but each
-    /// fold writes into pre-sized upper-bound slack instead of
-    /// materializing a fresh CSC, so the per-element constant drops below
-    /// the pairwise cursor merge. The fold re-scan still makes its work
-    /// linear in the fan-in, so it owns the small-fan-in regime.
+    /// BRMerge-style single-pass k-cursor merge (arXiv:2206.06611)
+    /// appending into reusable arena slabs: no per-merge allocation,
+    /// sorting or hashing, only a linear min-scan over the cursor heads,
+    /// so its tiny per-element constant grows linearly with the fan-in
+    /// and it owns the small-fan-in regime.
     BrMerge,
     /// Hussain-style parallel SpAdd (arXiv:2112.10223): contiguous
     /// per-thread column partitions, each thread accumulating through an
     /// epoch-stamped dense sparse accumulator sized from the column-nnz
-    /// upper bracket. Fan-in independent like `Hash` but with a cheaper
-    /// per-element constant and a smaller setup (the SPA is reused across
-    /// columns and merges), so it owns the large-fan-in regime.
+    /// upper bracket. O(1) per element regardless of fan-in, plus a setup
+    /// cost that small merges cannot amortize, so it owns the
+    /// large-fan-in regime.
     SpAdd,
 }
 
@@ -107,22 +97,14 @@ impl MergeKernel {
     pub fn name(self) -> &'static str {
         match self {
             MergeKernel::Heap => "heap",
-            MergeKernel::Pairwise => "pairwise",
-            MergeKernel::Hash => "hash",
             MergeKernel::BrMerge => "brmerge",
             MergeKernel::SpAdd => "spadd",
         }
     }
 
     /// All kernels, in display order.
-    pub fn all() -> [MergeKernel; 5] {
-        [
-            MergeKernel::Heap,
-            MergeKernel::Pairwise,
-            MergeKernel::Hash,
-            MergeKernel::BrMerge,
-            MergeKernel::SpAdd,
-        ]
+    pub fn all() -> [MergeKernel; 3] {
+        [MergeKernel::Heap, MergeKernel::BrMerge, MergeKernel::SpAdd]
     }
 }
 
@@ -150,20 +132,6 @@ impl CommMode {
     }
 }
 
-/// Per-element cost multiplier of [`MergeKernel::Pairwise`] relative to
-/// one heap comparison: a two-way cursor merge does no sifting, so at
-/// fan-in 2 it beats the heap (`0.8 < lg 2 = 1`); the left-fold re-scan
-/// makes its work `total · 0.8 · (k − 1)`, losing from fan-in 3 up.
-pub const PAIRWISE_MERGE_FACTOR: f64 = 0.8;
-/// Per-element cost multiplier of [`MergeKernel::Hash`]: fan-in
-/// independent, so it overtakes the heap's `lg k` once `lg k > 1.6`
-/// (fan-in ≥ 4) — the same crossover shape as the heap/hash SpGEMM
-/// selector (`hipmcl_spgemm::hybrid::HEAP_HASH_CF_CROSSOVER`).
-pub const HASH_MERGE_FACTOR: f64 = 1.6;
-/// Fixed table-setup cost of a hash merge, in merge-rate element-ops:
-/// below this many total elements the heap's cache-resident cursors win
-/// even at large fan-in.
-pub const HASH_MERGE_SETUP_OPS: f64 = 4096.0;
 /// Per-element cost multiplier of [`MergeKernel::BrMerge`]: a
 /// single-pass k-cursor merge appending into pre-sized arena slack does
 /// no per-merge allocation, copy-out, sorting or hashing — only the
@@ -176,13 +144,12 @@ pub const BRMERGE_MERGE_FACTOR: f64 = 0.3;
 /// Per-element cost multiplier of [`MergeKernel::SpAdd`]: the
 /// epoch-stamped dense accumulator pays one stamp check plus an
 /// amortized per-column sort per element — fan-in independent and
-/// cheaper than the hash table's probing (`1.2 < 1.6`).
+/// cheaper than the heap's `lg k` from fan-in 3 up.
 pub const SPADD_MERGE_FACTOR: f64 = 1.2;
 /// Fixed setup cost of a parallel SpAdd, in merge-rate element-ops:
-/// partitioning columns across threads and touching the reused SPA is
-/// far cheaper than building hash tables (`2048 < 4096`), but tiny
-/// merges still fall back to the setup-free cursor kernels (brmerge,
-/// or the heap at very high fan-in).
+/// partitioning columns across threads and touching the reused SPA, so
+/// tiny merges fall back to the setup-free cursor kernels (brmerge, or
+/// the heap at very high fan-in).
 pub const SPADD_SETUP_OPS: f64 = 2048.0;
 
 /// Summit-like machine parameters. All times in seconds, rates in
@@ -463,30 +430,19 @@ impl MachineModel {
     /// given kernel — the strategy dimension of the merge cost model:
     ///
     /// * `Heap` — `total · lg k` (cursor heap of size `k`);
-    /// * `Pairwise` — `total · PAIRWISE_MERGE_FACTOR · (k − 1)` (left
-    ///   fold of two-way merges; cheapest at `k = 2`, linear re-scan
-    ///   beyond);
-    /// * `Hash` — `total · HASH_MERGE_FACTOR + HASH_MERGE_SETUP_OPS`
-    ///   (fan-in independent accumulation plus table setup);
     /// * `BrMerge` — `total · BRMERGE_MERGE_FACTOR · (k − 1)` (arena-backed
-    ///   single-pass k-cursor merge; pairwise's fan-in shape with a much
-    ///   smaller constant);
+    ///   single-pass k-cursor merge; a small constant, linear in fan-in);
     /// * `SpAdd` — `total · SPADD_MERGE_FACTOR + SPADD_SETUP_OPS`
-    ///   (parallel epoch-SPA accumulation; hash's shape, cheaper terms).
+    ///   (parallel epoch-SPA accumulation; fan-in independent plus setup).
     ///
     /// The crossovers these formulas induce (brmerge at `k ≤ 5`, spadd at
-    /// `k ≥ 6` with enough elements, heap for tiny high-fan-in merges;
-    /// pairwise and hash are dominated and survive only as ablation
-    /// baselines) are exactly what `select_merge_kernel` picks by
-    /// evaluating this model.
+    /// `k ≥ 6` with enough elements, heap for tiny high-fan-in merges)
+    /// are exactly what `select_merge_kernel` picks by evaluating this
+    /// model.
     fn merge_ops_with(&self, kernel: MergeKernel, total: u64, ways: usize) -> f64 {
         let lg = (ways.max(2) as f64).log2();
         match kernel {
             MergeKernel::Heap => total as f64 * lg,
-            MergeKernel::Pairwise => {
-                total as f64 * PAIRWISE_MERGE_FACTOR * (ways.max(2) - 1) as f64
-            }
-            MergeKernel::Hash => total as f64 * HASH_MERGE_FACTOR + HASH_MERGE_SETUP_OPS,
             MergeKernel::BrMerge => total as f64 * BRMERGE_MERGE_FACTOR * (ways.max(2) - 1) as f64,
             MergeKernel::SpAdd => total as f64 * SPADD_MERGE_FACTOR + SPADD_SETUP_OPS,
         }
@@ -673,9 +629,9 @@ mod tests {
     fn merge_kernel_crossovers_match_the_documented_rule() {
         let m = MachineModel::summit();
         let t = |k, total, ways| m.merge_time_with(k, total, ways);
-        // Fan-in 2: the arena-backed k-cursor merge beats every cursor or
-        // table alternative (0.3 < 0.8 < lg 2 = 1).
-        for other in [MergeKernel::Heap, MergeKernel::Pairwise, MergeKernel::Hash] {
+        // Fan-in 2: the arena-backed k-cursor merge beats the heap and
+        // the SPA (0.3 < lg 2 = 1 < 1.2).
+        for other in [MergeKernel::Heap, MergeKernel::SpAdd] {
             assert!(t(MergeKernel::BrMerge, 100_000, 2) < t(other, 100_000, 2));
         }
         // Fan-in 3–5: brmerge's min-scan (≤ 4 · 0.3 = 1.2) still edges
@@ -685,17 +641,12 @@ mod tests {
             assert!(t(MergeKernel::BrMerge, 100_000, ways) < t(MergeKernel::Heap, 100_000, ways));
         }
         // Fan-in ≥ 6 with enough elements: spadd wins (lg k > 1.2, and
-        // 5 · 0.3 > 1.2); it also dominates its hash baseline everywhere.
+        // 5 · 0.3 > 1.2).
         assert!(t(MergeKernel::SpAdd, 100_000, 6) < t(MergeKernel::Heap, 100_000, 6));
         assert!(t(MergeKernel::SpAdd, 100_000, 6) < t(MergeKernel::BrMerge, 100_000, 6));
         assert!(t(MergeKernel::SpAdd, 100_000, 16) < t(MergeKernel::Heap, 100_000, 16));
-        assert!(t(MergeKernel::SpAdd, 100_000, 16) < t(MergeKernel::Hash, 100_000, 16));
-        // ...but a tiny merge cannot amortize either setup cost.
-        assert!(t(MergeKernel::Heap, 100, 8) < t(MergeKernel::Hash, 100, 8));
+        // ...but a tiny merge cannot amortize the SPA setup.
         assert!(t(MergeKernel::Heap, 100, 8) < t(MergeKernel::SpAdd, 100, 8));
-        // Legacy baselines stay strictly dominated in their own regimes.
-        assert!(t(MergeKernel::BrMerge, 100_000, 2) < t(MergeKernel::Pairwise, 100_000, 2));
-        assert!(t(MergeKernel::SpAdd, 100_000, 8) < t(MergeKernel::Hash, 100_000, 8));
         // Back-compat: merge_time is the whole-node heap path.
         assert_eq!(
             m.merge_time(5000, 7),
@@ -747,11 +698,9 @@ mod tests {
     #[test]
     fn merge_kernel_names() {
         assert_eq!(MergeKernel::Heap.name(), "heap");
-        assert_eq!(MergeKernel::Pairwise.name(), "pairwise");
-        assert_eq!(MergeKernel::Hash.name(), "hash");
         assert_eq!(MergeKernel::BrMerge.name(), "brmerge");
         assert_eq!(MergeKernel::SpAdd.name(), "spadd");
-        assert_eq!(MergeKernel::all().len(), 5);
+        assert_eq!(MergeKernel::all().len(), 3);
     }
 
     #[test]

@@ -295,7 +295,7 @@ impl MergeTask {
 
 /// One merge operation as scheduled on an executor merge lane — the
 /// merge-side analogue of [`KernelLaunch`]. The real merging work is the
-/// pipeline's (`merge::merge_algo`); this records only the span.
+/// pipeline's (`merge::merge_into`); this records only the span.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MergeLaunch {
     /// Virtual time the merge began executing on its lane (≥ the
@@ -1554,7 +1554,7 @@ mod tests {
         assert_eq!(m.sockets, 1);
         let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
         let mut exec = GpuExecutor::new(&mut gpus, &m);
-        let t = merge_task(MergeKernel::Hash, vec![(10_000, None); 4]);
+        let t = merge_task(MergeKernel::SpAdd, vec![(10_000, None); 4]);
         let l1 = exec.submit_merge(&m, 0.0, &t);
         let l2 = exec.submit_merge(&m, l1.output_ready_at + 0.25, &t);
         assert!((l2.started_at - (l1.output_ready_at + 0.25)).abs() < 1e-12);
@@ -1730,7 +1730,7 @@ mod tests {
         let k = pool.submit(pt(), &m, 0.0, &a, &a, spec_for(&a, SpgemmKernel::CpuHash));
         // The whole-node kernel holds every lane; a merge ready at 0 can
         // only start once a lane frees up.
-        let t = merge_task(MergeKernel::Pairwise, vec![(1000, None), (1000, None)]);
+        let t = merge_task(MergeKernel::BrMerge, vec![(1000, None), (1000, None)]);
         let l = pool.submit_merge(&m, 0.0, &t);
         assert!(
             (l.started_at - k.output_ready_at).abs() < 1e-12,
@@ -1746,7 +1746,7 @@ mod tests {
     #[test]
     fn merge_task_accessors() {
         let t = merge_task(
-            MergeKernel::Hash,
+            MergeKernel::SpAdd,
             vec![(3, Some(0)), (4, None), (5, Some(1))],
         );
         assert_eq!(t.ways(), 3);

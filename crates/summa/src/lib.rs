@@ -8,10 +8,12 @@
 //!   [`hipmcl_comm::ProcGrid`] (CombBLAS-style layout, DCSC-aware sizing).
 //! * [`merge`] — merging the per-stage intermediate products: the
 //!   multiway and **binary** (§IV, Algorithm 2) schedules, and three
-//!   bit-identical per-merge kernels (heap, pairwise, SpAdd-style hash)
-//!   selected by a machine-model cost rule
-//!   ([`merge::select_merge_kernel`]). Merges themselves execute as
-//!   executor tasks ([`executor::MergeTask`]) on per-socket merge lanes.
+//!   bit-identical per-merge kernels (the HipMCL heap, BRMerge-style
+//!   k-cursor merge, Hussain-style parallel SpAdd) selected by a
+//!   machine-model cost rule ([`merge::select_merge_kernel`]) and run
+//!   through one dispatch ([`merge::merge_into`]). Merges themselves
+//!   execute as executor tasks ([`executor::MergeTask`]) on per-socket
+//!   merge lanes.
 //! * [`estimate`] — distributed memory-requirement estimation: the exact
 //!   symbolic SUMMA of original HipMCL and the paper's **probabilistic**
 //!   Cohen-sketch estimator (§V), plus the hybrid rule (exact when `cf` is

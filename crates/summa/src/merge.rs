@@ -15,15 +15,15 @@
 //!   elements than the multiway merge's all-at-once set (the 15–25 %
 //!   peak-memory win of Table III).
 //!
-//! Orthogonally, each individual merge *operation* runs one of five
-//! kernels, selected per merge by [`select_merge_kernel`], which
-//! evaluates [`MachineModel::merge_time_with`] for the merge's fan-in and
-//! element count (the merge-side analogue of the `cf`-based SpGEMM kernel
-//! selector):
+//! Orthogonally, each individual merge *operation* runs one of three
+//! kernels, selected per merge by [`MergeKernelPolicy::resolve`] (under
+//! `Auto`, [`select_merge_kernel`] evaluates
+//! [`MachineModel::merge_time_with`] for the merge's fan-in and element
+//! count — the merge-side analogue of the `cf`-based SpGEMM kernel
+//! selector) and run by the one dispatch [`merge_into`]:
 //!
-//! * [`MergeKernel::Heap`] / [`MergeKernel::Pairwise`] /
-//!   [`MergeKernel::Hash`] — the original trio, each materializing a
-//!   fresh [`Csc`] per merge op (kept as ablation baselines);
+//! * [`MergeKernel::Heap`] — the cursor heap of original HipMCL,
+//!   materializing a fresh [`Csc`] per merge op;
 //! * [`MergeKernel::BrMerge`] — BRMerge-style single-pass k-cursor
 //!   merge (arXiv:2206.06611) appending into a reusable [`SlabBuf`]
 //!   checked out of a [`MergeArena`]: per-column upper bounds are
@@ -38,7 +38,7 @@
 //!   accumulator (`SpaScratch`) sized from the column-nnz upper bracket,
 //!   also writing into arena slack.
 //!
-//! All five produce **bit-identical** output: they accumulate coincident
+//! All three produce **bit-identical** output: they accumulate coincident
 //! entries strictly in list order with the semiring's `⊕` and drop
 //! entries whose final value is the semiring's annihilator (exactly `0.0`
 //! for plus-times, `+∞` for min-plus, `false` for boolean), so kernel
@@ -99,6 +99,17 @@ pub enum MergeKernelPolicy {
     Fixed(MergeKernel),
 }
 
+impl MergeKernelPolicy {
+    /// The kernel this policy runs for a `ways`-way merge of `total`
+    /// elements: the fixed kernel, or [`select_merge_kernel`]'s pick.
+    pub fn resolve(self, model: &MachineModel, total: u64, ways: usize) -> MergeKernel {
+        match self {
+            MergeKernelPolicy::Fixed(k) => k,
+            MergeKernelPolicy::Auto => select_merge_kernel(model, total, ways),
+        }
+    }
+}
+
 /// Picks the cheapest merge kernel for a `ways`-way merge of
 /// `total_elems` elements by evaluating the machine model's cost curves
 /// ([`MachineModel::merge_time_with`]) — the documented selection rule:
@@ -115,10 +126,8 @@ pub enum MergeKernelPolicy {
 ///   `lg k` (through fan-in ~13), [`MergeKernel::Heap`] beyond
 ///   (cache-resident cursors, no setup).
 ///
-/// [`MergeKernel::Pairwise`] and [`MergeKernel::Hash`] are dominated by
-/// their arena-backed successors at every `(total, ways)` point and are
-/// never auto-selected — they survive as `Fixed(...)` ablation baselines.
-/// Ties resolve toward the heap (the listed order).
+/// Each of the three kernels wins somewhere on this rule. Ties resolve
+/// toward the heap (the listed order).
 pub fn select_merge_kernel(model: &MachineModel, total_elems: u64, ways: usize) -> MergeKernel {
     MergeKernel::all()
         .into_iter()
@@ -620,124 +629,75 @@ impl<T: Value> MergeSlab<T> {
 // Kernels
 // ---------------------------------------------------------------------------
 
-/// A single k-way merge kernel: sums equally-shaped CSC matrices. All
-/// implementations accumulate coincident entries in list order and drop
-/// entries whose final value is the semiring's annihilator, making their
-/// outputs bit-identical (see the module docs). The trait is the
-/// `f64`/plus-times face kept for the benches and the exact symbolic
-/// estimator; the pipeline dispatches statically through [`merge_with`]
-/// so any [`Semiring`] can drive the same five kernels.
-pub trait MergeAlgo {
-    /// Which kernel this is (for spans and model lookup).
-    fn kind(&self) -> MergeKernel;
-    /// Merges `mats` (all of shape `shape`); an empty slice yields an
-    /// empty matrix of that shape.
-    fn merge(&self, mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64>;
-}
+/// The `f64`/plus-times face of one merge kernel, through which the
+/// benches time each kernel; the pipeline and [`StackMerger`] go through
+/// [`merge_into`] so any [`Semiring`] can drive the same three kernels.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MergeAlgo(pub MergeKernel);
 
-/// Cursor-based k-way heap merge (original HipMCL's accumulator).
-pub struct HeapMerge;
-/// Left-fold of two-way cursor merges.
-pub struct PairwiseMerge;
-/// SpAdd-style per-column hash accumulation.
-pub struct HashMerge;
-/// BRMerge-style single-pass k-cursor merge into arena slack
-/// (arXiv:2206.06611).
-pub struct BrMergeAccum;
-/// Hussain-style parallel SpAdd through epoch-stamped SPAs
-/// (arXiv:2112.10223).
-pub struct SpAddMerge;
-
-/// The implementation behind a [`MergeKernel`] tag.
-pub fn merge_algo(kernel: MergeKernel) -> &'static dyn MergeAlgo {
-    match kernel {
-        MergeKernel::Heap => &HeapMerge,
-        MergeKernel::Pairwise => &PairwiseMerge,
-        MergeKernel::Hash => &HashMerge,
-        MergeKernel::BrMerge => &BrMergeAccum,
-        MergeKernel::SpAdd => &SpAddMerge,
+impl MergeAlgo {
+    /// Merges `mats` (all of shape `shape`) with the wrapped kernel; an
+    /// empty slice yields an empty matrix of that shape.
+    pub fn merge(self, mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64> {
+        merge_with(PlusTimes::<f64>::new(), self.0, mats, shape)
     }
 }
 
-/// Runs the selected merge kernel in the given semiring — the statically
-/// dispatched generic entry the pipeline uses (a `dyn MergeAlgo` cannot
-/// carry a semiring type parameter). All five kernels accumulate
-/// coincident entries strictly in list order with [`Semiring::add`] and
-/// drop entries whose final value is the annihilator
-/// ([`Semiring::is_annihilator`]), so for any semiring the kernel choice
-/// never changes the result — the bit-identity property the plus-times
-/// path has always had, extended verbatim. The arena kernels run against
-/// a throwaway arena here; the pipeline and [`StackMerger`] instead call
-/// [`brmerge_into`] / [`spadd_into`] with a persistent one.
+/// The implementation behind a [`MergeKernel`] tag.
+pub fn merge_algo(kernel: MergeKernel) -> MergeAlgo {
+    MergeAlgo(kernel)
+}
+
+/// Runs the selected merge kernel in the given semiring against a
+/// throwaway arena and returns an owned [`Csc`]. All three kernels
+/// accumulate coincident entries strictly in list order with
+/// [`Semiring::add`] and drop entries whose final value is the
+/// annihilator ([`Semiring::is_annihilator`]), so for any semiring the
+/// kernel choice never changes the result. The pipeline and
+/// [`StackMerger`] instead call [`merge_into`] with a persistent arena.
 pub fn merge_with<S: Semiring>(
     s: S,
     kernel: MergeKernel,
     mats: &[Csc<S::Elem>],
     shape: (usize, usize),
 ) -> Csc<S::Elem> {
-    for mat in mats {
-        assert_eq!((mat.nrows(), mat.ncols()), shape, "merge shape mismatch");
-    }
     let refs: Vec<ColsRef<'_, S::Elem>> = mats.iter().map(ColsRef::of).collect();
-    merge_refs_with(s, kernel, &refs, shape)
+    match merge_into(s, kernel, &refs, shape, &mut MergeArena::new()) {
+        MergeSlab::Mat(m) => m,
+        // No arena outlives the merge: compact the staged buffer in place.
+        MergeSlab::Buf(b) => b.into_csc(),
+    }
 }
 
-/// [`merge_with`] over borrowed column views — the form the arena paths
-/// use, since a [`SlabBuf`] has no `Csc` to lend.
-pub fn merge_refs_with<S: Semiring>(
+/// The one merge dispatch: sums `mats` (all of shape `shape`) with
+/// `kernel`. The arena kernels write into a buffer checked out of
+/// `arena` ([`MergeSlab::Buf`], to be released or materialized by the
+/// caller); the heap kernel and the 0- and 1-input fast paths
+/// materialize a fresh [`MergeSlab::Mat`].
+pub fn merge_into<S: Semiring>(
     s: S,
     kernel: MergeKernel,
     mats: &[ColsRef<'_, S::Elem>],
     shape: (usize, usize),
-) -> Csc<S::Elem> {
-    if let Some(t) = merge_refs_trivial(mats, shape) {
-        return t;
+    arena: &mut MergeArena<S::Elem>,
+) -> MergeSlab<S::Elem> {
+    for mat in mats {
+        assert_eq!((mat.nrows(), mat.ncols()), shape, "merge shape mismatch");
     }
-    match kernel {
-        MergeKernel::Heap => assemble(
+    match (mats.len(), kernel) {
+        // A zero-flops phase produces nothing to merge; the configured
+        // output shape keeps the pipeline alive instead of panicking.
+        (0, _) => MergeSlab::Mat(Csc::zero(shape.0, shape.1)),
+        (1, _) => MergeSlab::Mat(mats[0].to_csc()),
+        (_, MergeKernel::Heap) => MergeSlab::Mat(assemble(
             shape,
             (0..shape.1)
                 .into_par_iter()
                 .map(|j| merge_column(s, mats, j))
                 .collect(),
-        ),
-        MergeKernel::Pairwise => {
-            let mut acc = two_way_merge(s, mats[0], mats[1], shape);
-            for m in &mats[2..] {
-                acc = two_way_merge(s, ColsRef::of(&acc), *m, shape);
-            }
-            acc
-        }
-        MergeKernel::Hash => assemble(
-            shape,
-            (0..shape.1)
-                .into_par_iter()
-                .map(|j| hash_column(s, mats, j))
-                .collect(),
-        ),
-        MergeKernel::BrMerge => {
-            let mut arena = MergeArena::new();
-            brmerge_into(s, mats, shape, &mut arena).into_csc()
-        }
-        MergeKernel::SpAdd => {
-            let mut arena = MergeArena::new();
-            spadd_into(s, mats, shape, &mut arena).into_csc()
-        }
-    }
-}
-
-/// Checks shapes and handles the 0- and 1-input fast paths shared by all
-/// kernels; returns `None` when a real merge is needed.
-fn merge_refs_trivial<T: Value>(mats: &[ColsRef<'_, T>], shape: (usize, usize)) -> Option<Csc<T>> {
-    for mat in mats {
-        assert_eq!((mat.nrows(), mat.ncols()), shape, "merge shape mismatch");
-    }
-    match mats.len() {
-        // A zero-flops phase produces nothing to merge; the configured
-        // output shape keeps the pipeline alive instead of panicking.
-        0 => Some(Csc::zero(shape.0, shape.1)),
-        1 => Some(mats[0].to_csc()),
-        _ => None,
+        )),
+        (_, MergeKernel::BrMerge) => MergeSlab::Buf(brmerge_into(s, mats, shape, arena)),
+        (_, MergeKernel::SpAdd) => MergeSlab::Buf(spadd_into(s, mats, shape, arena)),
     }
 }
 
@@ -756,91 +716,11 @@ fn assemble<T: Value>(shape: (usize, usize), cols: Vec<(Vec<Idx>, Vec<T>)>) -> C
     Csc::from_parts(m, n, colptr, rowidx, vals)
 }
 
-impl MergeAlgo for HeapMerge {
-    fn kind(&self) -> MergeKernel {
-        MergeKernel::Heap
-    }
-
-    fn merge(&self, mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64> {
-        merge_with(PlusTimes::<f64>::new(), MergeKernel::Heap, mats, shape)
-    }
-}
-
-impl MergeAlgo for PairwiseMerge {
-    fn kind(&self) -> MergeKernel {
-        MergeKernel::Pairwise
-    }
-
-    fn merge(&self, mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64> {
-        merge_with(PlusTimes::<f64>::new(), MergeKernel::Pairwise, mats, shape)
-    }
-}
-
-impl MergeAlgo for HashMerge {
-    fn kind(&self) -> MergeKernel {
-        MergeKernel::Hash
-    }
-
-    fn merge(&self, mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64> {
-        merge_with(PlusTimes::<f64>::new(), MergeKernel::Hash, mats, shape)
-    }
-}
-
-impl MergeAlgo for BrMergeAccum {
-    fn kind(&self) -> MergeKernel {
-        MergeKernel::BrMerge
-    }
-
-    fn merge(&self, mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64> {
-        merge_with(PlusTimes::<f64>::new(), MergeKernel::BrMerge, mats, shape)
-    }
-}
-
-impl MergeAlgo for SpAddMerge {
-    fn kind(&self) -> MergeKernel {
-        MergeKernel::SpAdd
-    }
-
-    fn merge(&self, mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64> {
-        merge_with(PlusTimes::<f64>::new(), MergeKernel::SpAdd, mats, shape)
-    }
-}
-
 /// K-way merges equally-shaped CSC matrices with the heap kernel (kept as
 /// a named entry point: the exact symbolic estimator and the benches call
 /// it directly). An empty slice returns an empty matrix of `shape`.
 pub fn kway_merge(mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64> {
-    kway_merge_in(PlusTimes::<f64>::new(), mats, shape)
-}
-
-/// [`kway_merge`] in an arbitrary semiring (the heap kernel).
-pub fn kway_merge_in<S: Semiring>(
-    s: S,
-    mats: &[Csc<S::Elem>],
-    shape: (usize, usize),
-) -> Csc<S::Elem> {
-    merge_with(s, MergeKernel::Heap, mats, shape)
-}
-
-/// Left-fold of two-way cursor merges in an arbitrary semiring. The left
-/// fold keeps the accumulation order identical to the heap's list-order
-/// tie-breaking: after i folds the accumulator holds
-/// `v_0 ⊕ v_1 ⊕ … ⊕ v_i` exactly as the heap would have combined it.
-pub fn pairwise_merge_in<S: Semiring>(
-    s: S,
-    mats: &[Csc<S::Elem>],
-    shape: (usize, usize),
-) -> Csc<S::Elem> {
-    merge_with(s, MergeKernel::Pairwise, mats, shape)
-}
-
-/// Per-column hash accumulation in an arbitrary semiring.
-pub fn hash_merge_in<S: Semiring>(
-    s: S,
-    mats: &[Csc<S::Elem>],
-    shape: (usize, usize),
-) -> Csc<S::Elem> {
-    merge_with(s, MergeKernel::Hash, mats, shape)
+    merge_with(PlusTimes::<f64>::new(), MergeKernel::Heap, mats, shape)
 }
 
 /// Heap-merges column `j` across all matrices.
@@ -891,89 +771,6 @@ fn merge_column<S: Semiring>(
         }
     }
     (rows, vals)
-}
-
-/// Two-way cursor merge with the shared annihilator-drop rule,
-/// materializing a fresh CSC (the legacy pairwise building block).
-fn two_way_merge<S: Semiring>(
-    _s: S,
-    a: ColsRef<'_, S::Elem>,
-    b: ColsRef<'_, S::Elem>,
-    shape: (usize, usize),
-) -> Csc<S::Elem> {
-    let cols: Vec<(Vec<Idx>, Vec<S::Elem>)> = (0..shape.1)
-        .into_par_iter()
-        .map(|j| {
-            let (ar, av) = (a.col_rows(j), a.col_vals(j));
-            let (br, bv) = (b.col_rows(j), b.col_vals(j));
-            let mut rows = Vec::with_capacity(ar.len() + br.len());
-            let mut vals = Vec::with_capacity(ar.len() + br.len());
-            let mut push = |r: Idx, v: S::Elem| {
-                if !S::is_annihilator(v) {
-                    rows.push(r);
-                    vals.push(v);
-                }
-            };
-            let (mut i, mut k) = (0, 0);
-            while i < ar.len() && k < br.len() {
-                match ar[i].cmp(&br[k]) {
-                    std::cmp::Ordering::Less => {
-                        push(ar[i], av[i]);
-                        i += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        push(br[k], bv[k]);
-                        k += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        push(ar[i], S::add(av[i], bv[k]));
-                        i += 1;
-                        k += 1;
-                    }
-                }
-            }
-            while i < ar.len() {
-                push(ar[i], av[i]);
-                i += 1;
-            }
-            while k < br.len() {
-                push(br[k], bv[k]);
-                k += 1;
-            }
-            (rows, vals)
-        })
-        .collect();
-    assemble(shape, cols)
-}
-
-/// Hash-accumulates column `j` across all matrices, strictly in list
-/// order, then sorts by row and drops annihilator entries.
-fn hash_column<S: Semiring>(
-    _s: S,
-    mats: &[ColsRef<'_, S::Elem>],
-    j: usize,
-) -> (Vec<Idx>, Vec<S::Elem>) {
-    use std::collections::HashMap;
-    let cap: usize = mats.iter().map(|m| m.col_nnz(j)).sum();
-    let mut slot: HashMap<Idx, usize> = HashMap::with_capacity(cap);
-    let mut entries: Vec<(Idx, S::Elem)> = Vec::with_capacity(cap);
-    for mat in mats {
-        for (&r, &v) in mat.col_rows(j).iter().zip(mat.col_vals(j)) {
-            match slot.entry(r) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let at = *e.get();
-                    entries[at].1 = S::add(entries[at].1, v);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(entries.len());
-                    entries.push((r, v));
-                }
-            }
-        }
-    }
-    entries.sort_unstable_by_key(|&(r, _)| r);
-    entries.retain(|&(_, v)| !S::is_annihilator(v));
-    entries.into_iter().unzip()
 }
 
 // ---------------------------------------------------------------------------
@@ -1236,7 +1033,7 @@ fn merge_k_cursors_body<S: Semiring>(
 /// writes its columns compactly from its region base, so write traffic
 /// is the actual output, not the upper bound. Coincident rows
 /// accumulate strictly in list order, so the result is bit-identical to
-/// the heap/pairwise kernels. The output stays staged (no compaction
+/// the heap kernel. The output stays staged (no compaction
 /// pass — downstream merges read the runs directly; only
 /// materialization compacts the inter-chunk gaps), and all scratch
 /// comes from `arena`, so the hot loop never allocates. The returned
@@ -1542,25 +1339,12 @@ impl StackMerger {
         let at = self.stack.len() - count;
         let tail: Vec<MergeSlab<f64>> = self.stack.split_off(at);
         let elems: usize = tail.iter().map(MergeSlab::nnz).sum();
-        let kernel = match self.policy {
-            MergeKernelPolicy::Fixed(k) => k,
-            MergeKernelPolicy::Auto => select_merge_kernel(&self.model, elems as u64, count),
-        };
+        let kernel = self.policy.resolve(&self.model, elems as u64, count);
         self.stats.peak_merge_elems = self.stats.peak_merge_elems.max(elems);
         self.stats.total_merged_elems += elems as u64;
         self.stats.merge_ops += 1;
-        let merged = {
-            let refs: Vec<ColsRef<'_, f64>> = tail.iter().map(MergeSlab::as_cols).collect();
-            match kernel {
-                MergeKernel::BrMerge => {
-                    MergeSlab::Buf(brmerge_into(s, &refs, self.shape, &mut self.arena))
-                }
-                MergeKernel::SpAdd => {
-                    MergeSlab::Buf(spadd_into(s, &refs, self.shape, &mut self.arena))
-                }
-                k => MergeSlab::Mat(merge_refs_with(s, k, &refs, self.shape)),
-            }
-        };
+        let refs: Vec<ColsRef<'_, f64>> = tail.iter().map(MergeSlab::as_cols).collect();
+        let merged = merge_into(s, kernel, &refs, self.shape, &mut self.arena);
         for slab in tail {
             slab.recycle(&mut self.arena);
         }
@@ -1705,16 +1489,29 @@ mod tests {
         // under lg k, the heap at very high fan-in.
         assert_eq!(select_merge_kernel(&m, 100, 8), MergeKernel::BrMerge);
         assert_eq!(select_merge_kernel(&m, 100, 16), MergeKernel::Heap);
-        // The legacy pairwise/hash baselines are never auto-selected.
+        // Every kernel the model prices wins somewhere: a dominated
+        // kernel has no place in `MergeKernel::all()`.
+        let mut chosen = std::collections::HashSet::new();
         for total in [100u64, 10_000, 1_000_000] {
-            for ways in [2usize, 3, 4, 8, 16] {
+            for ways in 2usize..=32 {
                 let k = select_merge_kernel(&m, total, ways);
-                assert!(
-                    k != MergeKernel::Pairwise && k != MergeKernel::Hash,
-                    "dominated kernel {k:?} selected at total={total} ways={ways}"
-                );
+                chosen.insert(k);
+                // The policy layer: `Auto` is the selection rule, and
+                // `Fixed` passes its kernel through untouched.
+                assert_eq!(MergeKernelPolicy::Auto.resolve(&m, total, ways), k);
+                for fixed in MergeKernel::all() {
+                    assert_eq!(
+                        MergeKernelPolicy::Fixed(fixed).resolve(&m, total, ways),
+                        fixed
+                    );
+                }
             }
         }
+        assert_eq!(
+            chosen,
+            MergeKernel::all().into_iter().collect(),
+            "some kernel is never auto-selected"
+        );
     }
 
     #[test]
@@ -1753,7 +1550,7 @@ mod tests {
         for k in [2usize, 3, 5, 8] {
             let mats = slabs(10, k);
             let refs: Vec<ColsRef<'_, f64>> = mats.iter().map(ColsRef::of).collect();
-            let want = merge_refs_with(s, MergeKernel::Heap, &refs, (10, 10));
+            let want = merge_with(s, MergeKernel::Heap, &mats, (10, 10));
             let br = brmerge_into(s, &refs, (10, 10), &mut arena);
             assert_eq!(br.to_csc(), want, "brmerge k={k}");
             arena.release(br);
@@ -1796,8 +1593,8 @@ mod tests {
 
     #[test]
     fn stack_merger_result_is_policy_invariant() {
-        // The arena-backed Auto path must produce the exact CSC the
-        // legacy fixed kernels produce — schedule and accumulation order
+        // The arena-backed Auto path must produce the exact CSC every
+        // fixed kernel produces — schedule and accumulation order
         // are kernel-independent.
         let mats = slabs(14, 8);
         let run = |policy| {
@@ -1888,7 +1685,7 @@ mod tests {
     }
 
     proptest! {
-        /// All five merge kernels produce bit-identical CSC outputs —
+        /// All three merge kernels produce bit-identical CSC outputs —
         /// values AND sparsity structure, including entries removed by
         /// exact-zero cancellation.
         #[test]
@@ -1910,7 +1707,7 @@ mod tests {
             }
         }
 
-        /// Min-plus: the same five kernels stay bit-identical when ⊕ is
+        /// Min-plus: the same three kernels stay bit-identical when ⊕ is
         /// `min` and the annihilator is `+∞`. One slab carries explicit
         /// `+∞` entries: positions where *every* contribution is `+∞`
         /// must be dropped by all kernels alike (exact-annihilator

@@ -35,15 +35,14 @@
 use crate::distmat::DistMatrix;
 use crate::executor::{Executor, LaunchSpec, MergeTask};
 use crate::merge::{
-    algorithm2_merge_count, brmerge_into, merge_refs_with, select_merge_kernel, spadd_into,
-    ArenaPool, ColsRef, MergeKernelPolicy, MergeSlab, MergeSpan, MergeStats, MergeStrategy,
+    algorithm2_merge_count, merge_into, ArenaPool, ColsRef, MergeKernelPolicy, MergeSlab,
+    MergeSpan, MergeStats, MergeStrategy,
 };
 use crate::spgemm::{CommChoice, CommPolicy, SummaConfig};
 use hipmcl_comm::clock::StageTimers;
 use hipmcl_comm::collectives::{bcast, flat_bcast};
 use hipmcl_comm::{
-    Comm, CommMode, MergeKernel, ProcGrid, SpgemmKernel, WireDecode, WireEncode, WireError,
-    WireReader, WireSize,
+    Comm, CommMode, ProcGrid, SpgemmKernel, WireDecode, WireEncode, WireError, WireReader, WireSize,
 };
 use hipmcl_gpu::select::select_kernel;
 use hipmcl_sparse::util::even_chunk;
@@ -206,27 +205,21 @@ impl<S: Semiring> MergeEngine<S> {
             tail.iter().map(|s| (s.m.nnz() as u64, s.home)).collect();
         let ready = tail.iter().map(|s| s.ready).fold(0.0, f64::max);
         let total: u64 = inputs.iter().map(|&(e, _)| e).sum();
-        let kernel = match self.policy {
-            MergeKernelPolicy::Fixed(k) => k,
-            MergeKernelPolicy::Auto => select_merge_kernel(comm.model(), total, count),
-        };
+        let kernel = self.policy.resolve(comm.model(), total, count);
         let task = MergeTask { kernel, inputs };
         let launch = exec.submit_merge(comm.model(), ready, &task);
         // Wall sample of the real merge compute below; `measured_now`
         // is pinned to 0 under `Modeled`, so the delta costs nothing
         // there and the host clock stays untouched.
         let w0 = comm.measured_now();
-        let merged = {
-            let refs: Vec<ColsRef<'_, S::Elem>> = tail.iter().map(|s| s.m.as_cols()).collect();
-            let arena = pool.lane_mut(launch.lane);
-            match kernel {
-                MergeKernel::BrMerge => {
-                    MergeSlab::Buf(brmerge_into(self.sr, &refs, self.shape, arena))
-                }
-                MergeKernel::SpAdd => MergeSlab::Buf(spadd_into(self.sr, &refs, self.shape, arena)),
-                k => MergeSlab::Mat(merge_refs_with(self.sr, k, &refs, self.shape)),
-            }
-        };
+        let refs: Vec<ColsRef<'_, S::Elem>> = tail.iter().map(|s| s.m.as_cols()).collect();
+        let merged = merge_into(
+            self.sr,
+            kernel,
+            &refs,
+            self.shape,
+            pool.lane_mut(launch.lane),
+        );
         let measured_s = comm.measured_now() - w0;
         for s in tail {
             let home = s.home.unwrap_or(launch.lane);

@@ -1064,13 +1064,8 @@ mod tests {
     #[test]
     fn merge_kernel_policy_never_changes_the_product() {
         let want = serial_product(26, 220, 15);
-        let policies = [
-            MergeKernelPolicy::Auto,
-            MergeKernelPolicy::Fixed(MergeKernel::Heap),
-            MergeKernelPolicy::Fixed(MergeKernel::Pairwise),
-            MergeKernelPolicy::Fixed(MergeKernel::Hash),
-        ];
-        for merge_kernel in policies {
+        let fixed = MergeKernel::all().map(MergeKernelPolicy::Fixed);
+        for merge_kernel in std::iter::once(MergeKernelPolicy::Auto).chain(fixed) {
             for merge in [MergeStrategy::Multiway, MergeStrategy::Binary] {
                 let cfg = SummaConfig {
                     merge,
