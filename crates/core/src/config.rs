@@ -4,7 +4,7 @@ use hipmcl_gpu::select::SelectionPolicy;
 use hipmcl_sparse::colops::PruneParams;
 use hipmcl_summa::active::ActiveSetPolicy;
 use hipmcl_summa::estimate::{EstimatorKind, PhasePlanner};
-use hipmcl_summa::executor::{ExecutorKind, StealPolicy};
+use hipmcl_summa::executor::ExecutorKind;
 use hipmcl_summa::merge::{MergeKernelPolicy, MergeStrategy};
 use hipmcl_summa::spgemm::{CommPolicy, ConfigError, PhasePlan, SummaConfig};
 
@@ -109,7 +109,6 @@ impl MclConfig {
                 merge_kernel: MergeKernelPolicy::Auto,
                 pipelined: false,
                 executor: ExecutorKind::Gpus,
-                steal: StealPolicy::default(),
                 comm: CommPolicy::Hybrid,
                 seed: 42,
             },
@@ -134,10 +133,9 @@ impl MclConfig {
     }
 
     /// Checks the configuration for values that would misbehave at run
-    /// time — a fixed hybrid split fraction outside `[0, 1]`, a
-    /// degenerate overlap-planner headroom, or an out-of-range active-set
-    /// shrinking parameter — which is reported here (and
-    /// by the drivers, which call this on entry) rather than silently
+    /// time — a degenerate overlap-planner headroom or an out-of-range
+    /// active-set shrinking parameter — which is reported here (and by
+    /// the drivers, which call this on entry) rather than silently
     /// clamped.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.summa.validate()?;
@@ -183,62 +181,19 @@ mod tests {
 
     #[test]
     fn with_executor_overrides_only_the_executor() {
-        let c = MclConfig::testing(8).with_executor(ExecutorKind::hybrid());
-        assert!(matches!(c.summa.executor, ExecutorKind::Hybrid { .. }));
+        let c = MclConfig::testing(8).with_executor(ExecutorKind::Hybrid);
+        assert_eq!(c.summa.executor, ExecutorKind::Hybrid);
         assert!(matches!(c.summa.phases, PhasePlan::Fixed(1)));
     }
 
     #[test]
-    fn hybrid_default_split_is_adaptive() {
-        use hipmcl_summa::executor::SplitPolicy;
+    fn hybrid_executor_exists_and_default_is_gpus() {
+        assert_eq!(ExecutorKind::default(), ExecutorKind::Gpus);
         assert_eq!(
-            ExecutorKind::hybrid(),
-            ExecutorKind::Hybrid {
-                split: SplitPolicy::Adaptive
-            }
+            MclConfig::optimized(1 << 30).summa.executor,
+            ExecutorKind::Gpus
         );
-    }
-
-    #[test]
-    fn validate_rejects_out_of_range_fixed_split_at_both_bounds() {
-        use hipmcl_summa::executor::SplitPolicy;
-        let hybrid = |f| {
-            MclConfig::testing(8).with_executor(ExecutorKind::Hybrid {
-                split: SplitPolicy::Fixed(f),
-            })
-        };
-        assert!(hybrid(0.0).validate().is_ok(), "0.0 is a legal share");
-        assert!(hybrid(1.0).validate().is_ok(), "1.0 is a legal share");
-        match hybrid(-0.01).validate().unwrap_err() {
-            ConfigError::Split(e) => assert_eq!(e.fraction, -0.01),
-            other => panic!("expected a split error, got {other:?}"),
-        }
-        match hybrid(1.01).validate().unwrap_err() {
-            ConfigError::Split(e) => assert_eq!(e.fraction, 1.01),
-            other => panic!("expected a split error, got {other:?}"),
-        }
-        assert!(MclConfig::optimized(1 << 30).validate().is_ok());
-    }
-
-    #[test]
-    fn steal_policy_defaults_cost_aware_and_validates_everywhere() {
-        // The optimized presets ship with cost-aware stealing on; the
-        // original-HipMCL baseline keeps the legacy pinning. Both
-        // variants pass the MclConfig validation chain.
-        assert_eq!(StealPolicy::default(), StealPolicy::CostAware);
-        assert_eq!(
-            MclConfig::optimized(1 << 30).summa.steal,
-            StealPolicy::CostAware
-        );
-        assert_eq!(
-            MclConfig::original_hipmcl(1 << 30).summa.steal,
-            StealPolicy::Off
-        );
-        for steal in StealPolicy::all() {
-            let mut c = MclConfig::testing(8);
-            c.summa.steal = steal;
-            assert!(c.validate().is_ok(), "{steal:?}");
-        }
+        assert_ne!(ExecutorKind::Hybrid, ExecutorKind::Gpus);
     }
 
     #[test]

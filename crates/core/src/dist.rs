@@ -567,7 +567,7 @@ mod tests {
         for exec in [
             ExecutorKind::Gpus,
             ExecutorKind::CpuPool,
-            ExecutorKind::hybrid(),
+            ExecutorKind::Hybrid,
         ] {
             let results = Universe::run(4, MachineModel::summit(), move |comm| {
                 let grid = ProcGrid::new(comm);

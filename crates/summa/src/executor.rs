@@ -15,13 +15,12 @@
 //!   does, which makes CPU kernels overlappable: "optimized HipMCL on
 //!   nodes without accelerators" gains the §III broadcast/merge overlap.
 //! * [`Hybrid`] — extends §III-A's multi-GPU column split to the CPU: a
-//!   [`SplitPolicy`]-chosen fraction of `B`'s columns is multiplied on the
-//!   devices while the worker pool takes the trailing slab, and the output
-//!   is a trivial `hcat`. The split is either a fixed constant, derived
-//!   per stage from the machine model
-//!   ([`MachineModel::hybrid_gpu_fraction`]), or adapted online by a
-//!   damped [`SplitController`] reading the realized finish-time imbalance
-//!   off the two sides' timelines.
+//!   fraction of `B`'s columns is multiplied on the devices while the
+//!   worker pool takes the trailing slab, and the output is a trivial
+//!   `hcat`. The fraction starts at the machine model's balance point
+//!   ([`MachineModel::hybrid_gpu_fraction`]) and is then adapted online
+//!   by a damped [`SplitController`] reading the realized finish-time
+//!   imbalance off the two sides' timelines.
 //!
 //! Merging is a first-class executor task, not a side activity: the
 //! pipeline submits every merge operation as a [`MergeTask`] through
@@ -46,110 +45,8 @@ use hipmcl_gpu::multi::MultiGpu;
 use hipmcl_sparse::{Csc, PlusTimes, Semiring, Value};
 use hipmcl_spgemm::CpuAlgo;
 
-/// How the [`Hybrid`] executor chooses the GPU share of each column split.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum SplitPolicy {
-    /// The same fraction of `B`'s columns goes to the devices in every
-    /// stage (the legacy behaviour; must lie in `[0, 1]` — see
-    /// [`SplitPolicy::validate`]).
-    Fixed(f64),
-    /// Each stage's fraction comes from
-    /// [`MachineModel::hybrid_gpu_fraction`], evaluated at the stage's
-    /// exact `flops` and its estimated compression factor.
-    ModelDerived,
-    /// Model-derived initial fraction, then a damped online feedback
-    /// update per stage from the realized CPU/GPU finish-time imbalance
-    /// (see [`SplitController`]).
-    Adaptive,
-}
-
-/// Error returned by [`SplitPolicy::validate`] for a [`SplitPolicy::Fixed`]
-/// fraction outside `[0, 1]` (or not finite).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct InvalidSplit {
-    /// The offending fraction.
-    pub fraction: f64,
-}
-
-impl std::fmt::Display for InvalidSplit {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "hybrid gpu fraction must be a finite value in [0, 1], got {}",
-            self.fraction
-        )
-    }
-}
-
-impl std::error::Error for InvalidSplit {}
-
-impl SplitPolicy {
-    /// Checks that a [`SplitPolicy::Fixed`] fraction is a valid share.
-    /// Out-of-range values are a configuration error (surfaced by
-    /// `MclConfig`/[`SummaConfig`](crate::spgemm::SummaConfig) validation),
-    /// never silently clamped.
-    pub fn validate(self) -> Result<(), InvalidSplit> {
-        match self {
-            SplitPolicy::Fixed(f) if !f.is_finite() || !(0.0..=1.0).contains(&f) => {
-                Err(InvalidSplit { fraction: f })
-            }
-            _ => Ok(()),
-        }
-    }
-}
-
-/// Whether an idle merge lane may steal a task pinned to another lane.
-///
-/// Under [`StealPolicy::Off`] every merge task pins to the least-busy lane
-/// at submission time (the PR-3 behaviour): the pick looks only at lane
-/// backlogs, so a task whose inputs are homed elsewhere — or one that
-/// arrives after a short lane just freed up — can open an idle gap on one
-/// socket while the other queues. [`StealPolicy::CostAware`] lets any lane
-/// win the task, but only by the model's arithmetic: each candidate lane
-/// is priced with [`MachineModel::merge_lane_time_with`] (which charges
-/// `xsocket_penalty` for input elements homed on another socket), and the
-/// task goes to the lane with the earliest modeled completion — so a steal
-/// is taken exactly when paying the cross-socket penalty still beats
-/// waiting for the home lane, and refused otherwise. Ties prefer the lane
-/// that opens the smallest idle gap, then the lowest index, keeping the
-/// schedule deterministic.
-///
-/// Stealing only moves *when and where* a task runs on the virtual clock —
-/// never its operands — so results stay bit-identical across policies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum StealPolicy {
-    /// Submission-time pinning to the least-busy lane (legacy).
-    Off,
-    /// Cost-aware stealing: any lane may take the task if its modeled
-    /// completion (cross-socket penalty included) is earliest.
-    #[default]
-    CostAware,
-}
-
-impl StealPolicy {
-    /// Validates the policy. Both variants are currently always valid;
-    /// the hook exists so `MclConfig`/`SummaConfig` validation covers the
-    /// steal dimension like every other scheduling knob.
-    pub fn validate(self) -> Result<(), InvalidSplit> {
-        Ok(())
-    }
-
-    /// Label used in probes and CSV output.
-    pub fn name(self) -> &'static str {
-        match self {
-            StealPolicy::Off => "off",
-            StealPolicy::CostAware => "cost-aware",
-        }
-    }
-
-    /// Both policies, in display order.
-    pub fn all() -> [StealPolicy; 2] {
-        [StealPolicy::Off, StealPolicy::CostAware]
-    }
-}
-
 /// Which executor a SUMMA run submits its local multiplications to.
-#[derive(Clone, Copy, Debug, PartialEq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ExecutorKind {
     /// GPU kernels async on the devices, CPU kernels inline on the host
     /// (the paper's setup and the legacy behaviour).
@@ -157,44 +54,9 @@ pub enum ExecutorKind {
     Gpus,
     /// Every kernel is an async launch on the per-rank CPU worker pool.
     CpuPool,
-    /// Column-split each multiplication across the GPUs and the pool.
-    Hybrid {
-        /// How the per-stage GPU share is chosen.
-        split: SplitPolicy,
-    },
-}
-
-/// GPU share of the legacy fixed hybrid column split. Summit's six V100s
-/// out-rate the host cores by a wide margin at high `cf` (Fig. 4), so the
-/// pool only takes a sliver; kept as the baseline the adaptive policies
-/// are measured against (`probe_hybrid_split`).
-pub const DEFAULT_GPU_FRACTION: f64 = 0.85;
-
-impl ExecutorKind {
-    /// Hybrid execution with the adaptive split (the recommended default:
-    /// model-derived start, online feedback thereafter).
-    pub fn hybrid() -> Self {
-        ExecutorKind::Hybrid {
-            split: SplitPolicy::Adaptive,
-        }
-    }
-
-    /// Hybrid execution with the legacy fixed split
-    /// ([`DEFAULT_GPU_FRACTION`]).
-    pub fn hybrid_fixed() -> Self {
-        ExecutorKind::Hybrid {
-            split: SplitPolicy::Fixed(DEFAULT_GPU_FRACTION),
-        }
-    }
-
-    /// Validates the executor choice (currently: a `Fixed` hybrid split
-    /// must lie in `[0, 1]`).
-    pub fn validate(self) -> Result<(), InvalidSplit> {
-        match self {
-            ExecutorKind::Hybrid { split } => split.validate(),
-            _ => Ok(()),
-        }
-    }
+    /// Column-split each multiplication across the GPUs and the pool, with
+    /// the GPU share adapted per stage by a [`SplitController`].
+    Hybrid,
 }
 
 /// The scheduler-side description of one local multiplication, passed to
@@ -307,11 +169,10 @@ pub struct MergeLaunch {
     pub duration: f64,
     /// Index of the lane (socket) the merge occupied.
     pub lane: usize,
-    /// The lane submission-time pinning ([`StealPolicy::Off`]) would have
-    /// chosen — the task's origin queue.
+    /// The least-busy lane at submission time — the task's origin queue.
     pub origin: usize,
     /// Whether another lane stole the task from its origin queue
-    /// (`lane != origin`; only under [`StealPolicy::CostAware`]).
+    /// (`lane != origin`).
     pub stolen: bool,
 }
 
@@ -324,25 +185,24 @@ fn remote_elems(task: &MergeTask, lane: usize) -> u64 {
         .sum()
 }
 
-/// Places `task` on one of `lanes` per `policy` and returns the span.
+/// Places `task` on one of `lanes` and returns the span.
 ///
 /// The task conceptually lands in the queue of its *origin* lane — the
-/// least-busy lane, which is where submission-time pinning would leave it.
-/// Under [`StealPolicy::CostAware`] every lane then competes for the task:
-/// lane `l` would finish it at `max(ready_at, busy_until(l)) + duration(l)`
-/// where the duration prices remote-homed inputs at the model's
-/// cross-socket penalty ([`MachineModel::merge_lane_time_with`]), and the
-/// earliest modeled completion wins. A lane other than the origin winning
-/// is a *steal*: it only happens when the thief's penalty-inclusive time
-/// beats waiting in the origin's queue. Ties break toward the lane that
-/// opens the smallest idle gap (`ready_at − busy_until`, zero for a lane
-/// with no jobs yet, whose leading gap is not accounted idle), then the
-/// lowest index — fully deterministic, like every other scheduling rule in
-/// the simulator.
+/// least-busy lane at submission time. Every lane then competes for the
+/// task: lane `l` would finish it at `max(ready_at, busy_until(l)) +
+/// duration(l)` where the duration prices remote-homed inputs at the
+/// model's cross-socket penalty ([`MachineModel::merge_lane_time_with`]),
+/// and the earliest modeled completion wins. A lane other than the origin
+/// winning is a *steal*: it only happens when the thief's
+/// penalty-inclusive time beats waiting in the origin's queue. Ties break toward the lane that opens the smallest idle gap
+/// (`ready_at − busy_until`, zero for a lane with no jobs yet, whose
+/// leading gap is not accounted idle), then the lowest index — fully
+/// deterministic, like every other scheduling rule in the simulator.
+/// Stealing only moves *when and where* a merge runs on the virtual clock,
+/// never its operands.
 fn submit_merge_on(
     lanes: &mut [Timeline],
     model: &MachineModel,
-    policy: StealPolicy,
     ready_at: f64,
     task: &MergeTask,
 ) -> MergeLaunch {
@@ -362,29 +222,24 @@ fn submit_merge_on(
         .min_by(|(_, a), (_, b)| a.busy_until().partial_cmp(&b.busy_until()).unwrap())
         .map(|(i, _)| i)
         .expect("executors always have at least one merge lane");
-    let lane = match policy {
-        StealPolicy::Off => origin,
-        StealPolicy::CostAware => {
-            let cost = |l: usize| {
-                let end = lanes[l].busy_until().max(ready_at) + dur_on(l);
-                let gap = if lanes[l].jobs() > 0 {
-                    (ready_at - lanes[l].busy_until()).max(0.0)
-                } else {
-                    0.0
-                };
-                (end, gap)
-            };
-            (0..n)
-                .min_by(|&i, &j| {
-                    let (ei, gi) = cost(i);
-                    let (ej, gj) = cost(j);
-                    ei.partial_cmp(&ej)
-                        .unwrap()
-                        .then(gi.partial_cmp(&gj).unwrap())
-                })
-                .expect("executors always have at least one merge lane")
-        }
+    let cost = |l: usize| {
+        let end = lanes[l].busy_until().max(ready_at) + dur_on(l);
+        let gap = if lanes[l].jobs() > 0 {
+            (ready_at - lanes[l].busy_until()).max(0.0)
+        } else {
+            0.0
+        };
+        (end, gap)
     };
+    let lane = (0..n)
+        .min_by(|&i, &j| {
+            let (ei, gi) = cost(i);
+            let (ej, gj) = cost(j);
+            ei.partial_cmp(&ej)
+                .unwrap()
+                .then(gi.partial_cmp(&gj).unwrap())
+        })
+        .expect("executors always have at least one merge lane");
     let dur = dur_on(lane);
     let done = lanes[lane].submit(ready_at, dur);
     MergeLaunch {
@@ -409,7 +264,7 @@ fn lanes_idle(lanes: &[Timeline]) -> f64 {
 /// the default parameter keeps `dyn Executor` meaning the plus-times
 /// `f64` executor the MCL driver uses. Every concrete executor implements
 /// the trait for *all* semirings — scheduling (timelines, merge lanes,
-/// split policies) is element-type-free, so the same scheduler instance
+/// the hybrid split) is element-type-free, so the same scheduler instance
 /// works for shortest paths exactly as it does for MCL.
 pub trait Executor<S: Semiring = PlusTimes<f64>> {
     /// Submits `C = A ⊗ B` in semiring `s` as described by `spec`,
@@ -478,7 +333,6 @@ fn cpu_algo(kernel: SpgemmKernel) -> CpuAlgo {
 pub struct GpuExecutor<'g> {
     gpus: &'g mut MultiGpu,
     lanes: Vec<Timeline>,
-    steal: StealPolicy,
 }
 
 impl<'g> GpuExecutor<'g> {
@@ -486,18 +340,7 @@ impl<'g> GpuExecutor<'g> {
     /// socket count.
     pub fn new(gpus: &'g mut MultiGpu, model: &MachineModel) -> Self {
         let lanes = (0..model.sockets.max(1)).map(|_| Timeline::new()).collect();
-        Self {
-            gpus,
-            lanes,
-            steal: StealPolicy::default(),
-        }
-    }
-
-    /// Sets the merge-lane steal policy (default
-    /// [`StealPolicy::CostAware`]).
-    pub fn with_steal(mut self, steal: StealPolicy) -> Self {
-        self.steal = steal;
-        self
+        Self { gpus, lanes }
     }
 
     /// The host-side merge lanes (one per socket).
@@ -514,7 +357,7 @@ impl<'g> GpuExecutor<'g> {
         ready_at: f64,
         task: &MergeTask,
     ) -> MergeLaunch {
-        submit_merge_on(&mut self.lanes, model, self.steal, ready_at, task)
+        submit_merge_on(&mut self.lanes, model, ready_at, task)
     }
 
     /// GPUs visible to kernel selection (see [`Executor::gpus_available`]).
@@ -703,7 +546,6 @@ impl<S: Semiring> Executor<S> for GpuExecutor<'_> {
 pub struct CpuPool {
     threads: usize,
     lanes: Vec<Timeline>,
-    steal: StealPolicy,
 }
 
 impl Default for CpuPool {
@@ -719,7 +561,6 @@ impl CpuPool {
         Self {
             threads: rayon::current_num_threads().max(1),
             lanes: vec![Timeline::new()],
-            steal: StealPolicy::default(),
         }
     }
 
@@ -729,15 +570,7 @@ impl CpuPool {
         Self {
             threads: model.threads.max(1),
             lanes: (0..model.sockets.max(1)).map(|_| Timeline::new()).collect(),
-            steal: StealPolicy::default(),
         }
-    }
-
-    /// Sets the merge-lane steal policy (default
-    /// [`StealPolicy::CostAware`]).
-    pub fn with_steal(mut self, steal: StealPolicy) -> Self {
-        self.steal = steal;
-        self
     }
 
     /// Worker threads backing the pool.
@@ -775,7 +608,7 @@ impl CpuPool {
         ready_at: f64,
         task: &MergeTask,
     ) -> MergeLaunch {
-        submit_merge_on(&mut self.lanes, model, self.steal, ready_at, task)
+        submit_merge_on(&mut self.lanes, model, ready_at, task)
     }
 
     /// GPUs visible to kernel selection — always 0 for a pure pool.
@@ -883,7 +716,7 @@ pub const ADAPTIVE_MAX_FRACTION: f64 = 0.95;
 /// Default damping gain `γ` of the [`SplitController`] update.
 pub const SPLIT_GAIN: f64 = 0.5;
 
-/// Damped online feedback controller for [`SplitPolicy::Adaptive`].
+/// Damped online feedback controller behind the [`Hybrid`] column split.
 ///
 /// After a stage splits its work `f : (1 − f)` between the devices and
 /// the pool, the two sides' finish latencies `t_G` and `t_C` (virtual
@@ -952,33 +785,23 @@ impl SplitController {
 /// columns), extending §III-A's multi-GPU split by one more "device".
 /// CPU-selected (small) multiplications go to the pool whole.
 ///
-/// The per-stage GPU share follows the configured [`SplitPolicy`]; every
-/// realized share is recorded (see [`Hybrid::fractions`]) so the split
-/// decision is an observable part of the pipeline, not a hidden constant.
+/// The per-stage GPU share comes from a [`SplitController`] seeded at the
+/// machine model's balance point; every realized share is recorded (see
+/// [`Hybrid::fractions`]) so the split decision is an observable part of
+/// the pipeline, not a hidden constant.
 pub struct Hybrid<'g> {
     gpus: &'g mut MultiGpu,
     pool: CpuPool,
-    policy: SplitPolicy,
     controller: Option<SplitController>,
     fractions: Vec<f64>,
 }
 
 impl<'g> Hybrid<'g> {
-    /// Wraps the rank's devices with the given split policy.
-    ///
-    /// # Panics
-    ///
-    /// On a [`SplitPolicy::Fixed`] fraction outside `[0, 1]` — such values
-    /// are a configuration error that `MclConfig`/`SummaConfig` validation
-    /// reports before any executor is built; they are never clamped.
-    pub fn new(gpus: &'g mut MultiGpu, split: SplitPolicy) -> Self {
-        split
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid hybrid split: {e}"));
+    /// Wraps the rank's devices next to a single-lane [`CpuPool::new`].
+    pub fn new(gpus: &'g mut MultiGpu) -> Self {
         Self {
             gpus,
             pool: CpuPool::new(),
-            policy: split,
             controller: None,
             fractions: Vec::new(),
         }
@@ -987,21 +810,10 @@ impl<'g> Hybrid<'g> {
     /// Like [`Hybrid::new`], but the pool side is sized from the machine
     /// model's node topology ([`CpuPool::for_model`]): NUMA merge lanes
     /// shared with the CPU slab of every column split.
-    ///
-    /// # Panics
-    ///
-    /// As [`Hybrid::new`], on an invalid [`SplitPolicy::Fixed`] fraction.
-    pub fn for_model(gpus: &'g mut MultiGpu, split: SplitPolicy, model: &MachineModel) -> Self {
-        let mut h = Self::new(gpus, split);
+    pub fn for_model(gpus: &'g mut MultiGpu, model: &MachineModel) -> Self {
+        let mut h = Self::new(gpus);
         h.pool = CpuPool::for_model(model);
         h
-    }
-
-    /// Sets the merge-lane steal policy of the pool side (default
-    /// [`StealPolicy::CostAware`]); merges delegate to the pool's lanes.
-    pub fn with_steal(mut self, steal: StealPolicy) -> Self {
-        self.pool.steal = steal;
-        self
     }
 
     /// The realized GPU share of every submission so far, in order (0 for
@@ -1010,26 +822,22 @@ impl<'g> Hybrid<'g> {
         &self.fractions
     }
 
-    /// The GPU share the policy picks for this launch.
+    /// The GPU share for this launch: the controller's current fraction,
+    /// seeded on the first split from the model's balance point.
     fn pick_fraction(
         &mut self,
         model: &MachineModel,
         lib: hipmcl_comm::GpuLib,
         spec: &LaunchSpec,
     ) -> f64 {
-        match self.policy {
-            SplitPolicy::Fixed(f) => f,
-            SplitPolicy::ModelDerived => model.hybrid_gpu_fraction(lib, spec.flops, spec.cf_est),
-            SplitPolicy::Adaptive => self
-                .controller
-                .get_or_insert_with(|| {
-                    SplitController::new(
-                        model.hybrid_gpu_fraction(lib, spec.flops, spec.cf_est),
-                        SPLIT_GAIN,
-                    )
-                })
-                .fraction(),
-        }
+        self.controller
+            .get_or_insert_with(|| {
+                SplitController::new(
+                    model.hybrid_gpu_fraction(lib, spec.flops, spec.cf_est),
+                    SPLIT_GAIN,
+                )
+            })
+            .fraction()
     }
 
     /// Places a merge on the pool's worker lanes (see
@@ -1130,8 +938,8 @@ impl<S: Semiring> Executor<S> for Hybrid<'_> {
             total_flops += flops_cpu;
             total_nnz += c_cpu.nnz() as u64;
             // Online feedback: the two sides' finish latencies from this
-            // submission instant are exactly the imbalance the adaptive
-            // policy drives to zero.
+            // submission instant are exactly the imbalance the controller
+            // drives to zero.
             if let Some(ctl) = self.controller.as_mut() {
                 ctl.observe(r.output_ready_at - host_now, done.at - host_now);
             }
@@ -1292,7 +1100,7 @@ mod tests {
     fn hybrid_oom_hands_the_whole_multiply_to_the_pool() {
         let a = random_csc(30, 30, 260, 46);
         let mut gpus = MultiGpu::new(model(), 2, 64);
-        let mut h = Hybrid::new(&mut gpus, SplitPolicy::Fixed(0.5));
+        let mut h = Hybrid::new(&mut gpus);
         let l = h.submit(
             pt(),
             &model(),
@@ -1361,47 +1169,49 @@ mod tests {
 
     #[test]
     fn hybrid_splits_and_matches_reference() {
+        // Narrow right operands push the rounded split onto both edges of
+        // `Hybrid::submit`: at the lower clamp a few columns round to no
+        // GPU share (pool only), at the upper clamp they round to all of
+        // them (devices only), and 40 columns split between the two.
         let a = random_csc(40, 40, 500, 45);
-        let w = want(&a);
-        let policies = [
-            SplitPolicy::Fixed(0.0),
-            SplitPolicy::Fixed(0.3),
-            SplitPolicy::Fixed(0.5),
-            SplitPolicy::Fixed(0.85),
-            SplitPolicy::Fixed(1.0),
-            SplitPolicy::ModelDerived,
-            SplitPolicy::Adaptive,
-        ];
-        for policy in policies {
-            let mut gpus = MultiGpu::new(model(), 3, 1 << 30);
-            let mut h = Hybrid::new(&mut gpus, policy);
-            let l = h.submit(
-                pt(),
-                &model(),
-                0.0,
-                &a,
-                &a,
-                spec_for(&a, SpgemmKernel::Gpu(GpuLib::Nsparse)),
-            );
-            assert!(l.c.max_abs_diff(&w) < 1e-9, "{policy:?}");
-            assert_eq!(l.c.nnz(), w.nnz(), "{policy:?}");
-            assert_eq!(
-                l.flops,
-                spec_for(&a, SpgemmKernel::CpuHash).flops,
-                "{policy:?}"
-            );
-            assert!(l.output_ready_at >= l.inputs_ready_at, "{policy:?}");
-            assert_eq!(h.fractions().len(), 1, "{policy:?}");
-            let f = h.fractions()[0];
-            assert!((0.0..=1.0).contains(&f), "{policy:?}: {f}");
+        let mut realized = Vec::new();
+        for seed in [ADAPTIVE_MIN_FRACTION, 0.5, ADAPTIVE_MAX_FRACTION] {
+            for n in [1usize, 2, 3, 9, 40] {
+                let b = a.column_slice(0..n);
+                let w = hipmcl_spgemm::hash::multiply(&a, &b);
+                let spec = LaunchSpec {
+                    kernel: SpgemmKernel::Gpu(GpuLib::Nsparse),
+                    flops: hipmcl_spgemm::flops(&a, &b),
+                    cf_est: 1.0,
+                    time: TimeModel::Modeled,
+                };
+                let mut gpus = MultiGpu::new(model(), 3, 1 << 30);
+                let mut h = Hybrid::new(&mut gpus);
+                h.controller = Some(SplitController::new(seed, SPLIT_GAIN));
+                let l = h.submit(pt(), &model(), 0.0, &a, &b, spec);
+                assert!(l.c.max_abs_diff(&w) < 1e-9, "seed={seed} n={n}");
+                assert_eq!(l.c.nnz(), w.nnz(), "seed={seed} n={n}");
+                assert_eq!(l.flops, spec.flops, "seed={seed} n={n}");
+                assert!(l.output_ready_at >= l.inputs_ready_at, "seed={seed} n={n}");
+                assert_eq!(h.fractions().len(), 1, "seed={seed} n={n}");
+                let f = h.fractions()[0];
+                assert!((0.0..=1.0).contains(&f), "seed={seed} n={n}: {f}");
+                realized.push(f);
+            }
         }
+        assert!(realized.contains(&0.0), "pool-only branch reached");
+        assert!(realized.contains(&1.0), "device-only branch reached");
+        assert!(
+            realized.iter().any(|&f| f > 0.0 && f < 1.0),
+            "split branch reached"
+        );
     }
 
     #[test]
     fn hybrid_sends_cpu_kernels_to_the_pool() {
         let a = random_csc(25, 25, 180, 46);
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let mut h = Hybrid::new(&mut gpus, SplitPolicy::Fixed(0.85));
+        let mut h = Hybrid::new(&mut gpus);
         let l = h.submit(
             pt(),
             &model(),
@@ -1423,7 +1233,7 @@ mod tests {
     fn hybrid_without_devices_runs_entirely_on_pool() {
         let a = random_csc(20, 20, 140, 47);
         let mut gpus = MultiGpu::new(model(), 0, 1 << 30);
-        let mut h = Hybrid::new(&mut gpus, SplitPolicy::Adaptive);
+        let mut h = Hybrid::new(&mut gpus);
         let l = h.submit(
             pt(),
             &model(),
@@ -1437,56 +1247,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid hybrid split")]
-    fn hybrid_rejects_fraction_above_one() {
-        let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let _ = Hybrid::new(&mut gpus, SplitPolicy::Fixed(1.5));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid hybrid split")]
-    fn hybrid_rejects_negative_fraction() {
-        let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let _ = Hybrid::new(&mut gpus, SplitPolicy::Fixed(-0.1));
-    }
-
-    #[test]
-    fn split_policy_validation_accepts_bounds_rejects_outside() {
-        assert!(SplitPolicy::Fixed(0.0).validate().is_ok());
-        assert!(SplitPolicy::Fixed(1.0).validate().is_ok());
-        assert!(SplitPolicy::ModelDerived.validate().is_ok());
-        assert!(SplitPolicy::Adaptive.validate().is_ok());
-        let below = SplitPolicy::Fixed(-1e-9).validate().unwrap_err();
-        assert_eq!(below.fraction, -1e-9);
-        let above = SplitPolicy::Fixed(1.0 + 1e-9).validate().unwrap_err();
-        assert!(above.fraction > 1.0);
-        assert!(SplitPolicy::Fixed(f64::NAN).validate().is_err());
-        assert!(ExecutorKind::Hybrid {
-            split: SplitPolicy::Fixed(2.0)
-        }
-        .validate()
-        .is_err());
-        assert!(ExecutorKind::Gpus.validate().is_ok());
-        // The error is displayable (surfaced by MclConfig validation).
-        let msg = format!("{}", above);
-        assert!(msg.contains("[0, 1]"), "{msg}");
-    }
-
-    #[test]
-    fn executor_kind_default_and_hybrid_presets() {
+    fn executor_kind_default_is_gpus() {
         assert_eq!(ExecutorKind::default(), ExecutorKind::Gpus);
-        assert_eq!(
-            ExecutorKind::hybrid(),
-            ExecutorKind::Hybrid {
-                split: SplitPolicy::Adaptive
-            }
-        );
-        assert_eq!(
-            ExecutorKind::hybrid_fixed(),
-            ExecutorKind::Hybrid {
-                split: SplitPolicy::Fixed(DEFAULT_GPU_FRACTION)
-            }
-        );
+        assert_ne!(ExecutorKind::Hybrid, ExecutorKind::Gpus);
     }
 
     #[test]
@@ -1501,7 +1264,7 @@ mod tests {
         let a = random_csc(300, 300, 24000, 49);
         let spec = spec_for(&a, SpgemmKernel::Gpu(GpuLib::Nsparse));
         let mut gpus = MultiGpu::new(model(), 6, 1 << 30);
-        let mut h = Hybrid::new(&mut gpus, SplitPolicy::Adaptive);
+        let mut h = Hybrid::new(&mut gpus);
         h.controller = Some(SplitController::new(0.2, SPLIT_GAIN));
         let mut gaps = Vec::new();
         let mut now = 0.0;
@@ -1566,13 +1329,7 @@ mod tests {
 
     #[test]
     fn remote_socket_inputs_pay_the_crossing_penalty() {
-        // Pin the legacy policy: under cost-aware stealing the scheduler
-        // would route the all-remote task to its home lane and never pay.
         let m = model();
-        let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
-        let mut exec = GpuExecutor::new(&mut gpus, &m).with_steal(StealPolicy::Off);
-        // Fresh lanes tie on busy_until → lane 0 wins; inputs homed on
-        // socket 1 are all remote.
         let local = merge_task(
             MergeKernel::Heap,
             vec![(40_000, Some(0)), (40_000, Some(0))],
@@ -1581,11 +1338,17 @@ mod tests {
             MergeKernel::Heap,
             vec![(40_000, Some(1)), (40_000, Some(1))],
         );
+        let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
+        let mut exec = GpuExecutor::new(&mut gpus, &m);
         let ll = exec.submit_merge(&m, 0.0, &local);
-        assert_eq!(ll.lane, 0);
+        assert_eq!(ll.lane, 0, "inputs homed on lane 0 stay there");
         assert!(!ll.stolen);
+        // Backlog the remote task's home lane so deeply that waiting for
+        // it loses: the task must run on lane 0 and pay the penalty.
         let mut gpus2 = MultiGpu::new(m.clone(), 2, 1 << 30);
-        let mut exec2 = GpuExecutor::new(&mut gpus2, &m).with_steal(StealPolicy::Off);
+        let mut exec2 = GpuExecutor::new(&mut gpus2, &m);
+        let big = merge_task(MergeKernel::Heap, vec![(50_000_000, Some(1)); 2]);
+        assert_eq!(exec2.submit_merge(&m, 0.0, &big).lane, 1);
         let lr = exec2.submit_merge(&m, 0.0, &remote);
         assert_eq!(lr.lane, 0);
         let ratio = lr.duration / ll.duration;
@@ -1597,10 +1360,10 @@ mod tests {
 
     #[test]
     fn cost_aware_steal_avoids_the_crossing_penalty_on_free_lanes() {
-        // Same all-remote task as above, but under the default CostAware
-        // policy: lane 1 (the inputs' home) finishes it sooner than the
-        // origin pick (lane 0, which would pay the penalty), so lane 1
-        // steals it and the span records the steal.
+        // The all-remote task from above on fresh lanes: lane 1 (the
+        // inputs' home) finishes it sooner than the origin pick (lane 0,
+        // which would pay the penalty), so lane 1 steals it and the span
+        // records the steal.
         let m = model();
         let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
         let mut exec = GpuExecutor::new(&mut gpus, &m);
@@ -1645,32 +1408,34 @@ mod tests {
     #[test]
     fn cost_aware_tie_breaks_toward_the_smallest_idle_gap() {
         // Both lanes hold jobs; the task becomes ready exactly when the
-        // longer lane frees up. Off pins to the shorter backlog (opening
-        // an idle gap there); CostAware sees equal completion times and
-        // prefers the lane that opens no gap.
+        // longer lane frees up. The origin (least-busy) lane is the
+        // shorter backlog, where the task would open an idle gap; both
+        // lanes finish it at the same time, so the scheduler prefers the
+        // lane that opens no gap.
         let m = model();
         let t_short = merge_task(MergeKernel::Heap, vec![(10_000, None); 2]);
         let t_long = merge_task(MergeKernel::Heap, vec![(80_000, None); 2]);
         let probe = merge_task(MergeKernel::Heap, vec![(20_000, None); 2]);
-        let run = |policy: StealPolicy| {
-            let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
-            let mut exec = GpuExecutor::new(&mut gpus, &m).with_steal(policy);
-            let a = exec.submit_merge(&m, 0.0, &t_long); // lane 0
-            let b = exec.submit_merge(&m, 0.0, &t_short); // lane 1
-            assert_ne!(a.lane, b.lane);
-            let l = exec.submit_merge(&m, a.output_ready_at, &probe);
-            (l, exec.merge_lane_idle())
-        };
-        let (l_off, idle_off) = run(StealPolicy::Off);
-        assert_eq!(l_off.lane, 1, "pinning chases the shorter backlog");
-        assert!(idle_off > 0.0, "and opens an idle gap there");
-        let (l_ca, idle_ca) = run(StealPolicy::CostAware);
-        assert_eq!(l_ca.lane, 0, "equal finish → prefer the gapless lane");
-        assert!(l_ca.stolen);
-        assert_eq!(idle_ca, 0.0);
-        assert_eq!(
-            l_ca.output_ready_at, l_off.output_ready_at,
-            "the steal was free: same completion, less idle"
+        let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
+        let mut exec = GpuExecutor::new(&mut gpus, &m);
+        // The gapless lane is the higher index, so the lowest-index
+        // fallback alone would pick the gap-opening lane 0.
+        let a = exec.submit_merge(&m, 0.0, &t_short); // lane 0
+        let b = exec.submit_merge(&m, 0.0, &t_long); // lane 1
+        assert_eq!((a.lane, b.lane), (0, 1));
+        let l = exec.submit_merge(&m, b.output_ready_at, &probe);
+        assert_eq!(l.origin, 0, "the origin queue is the shorter backlog");
+        assert_eq!(l.lane, 1, "equal finish → prefer the gapless lane");
+        assert!(l.stolen);
+        assert_eq!(exec.merge_lane_idle(), 0.0);
+        // On its origin lane the probe would start when it became ready
+        // and run its unpenalized duration: the steal finishes no later.
+        let on_origin =
+            b.output_ready_at + m.merge_lane_time_with(MergeKernel::Heap, 40_000, 2, 0, 2);
+        assert!(
+            (l.output_ready_at - on_origin).abs() < 1e-12,
+            "the steal was free: {} vs {on_origin}",
+            l.output_ready_at
         );
     }
 
@@ -1701,16 +1466,6 @@ mod tests {
             "idle {} must equal the span gaps {gaps} on the busy lane alone",
             exec.merge_lane_idle()
         );
-    }
-
-    #[test]
-    fn steal_policy_default_validation_and_names() {
-        assert_eq!(StealPolicy::default(), StealPolicy::CostAware);
-        for p in StealPolicy::all() {
-            assert!(p.validate().is_ok());
-        }
-        assert_eq!(StealPolicy::Off.name(), "off");
-        assert_eq!(StealPolicy::CostAware.name(), "cost-aware");
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!   [`executor::Executor`] — the devices ([`hipmcl_gpu::multi::MultiGpu`]),
 //!   a per-rank CPU worker pool ([`executor::CpuPool`]), or a
 //!   column-splitting [`executor::Hybrid`] of both whose per-stage GPU
-//!   share follows a [`executor::SplitPolicy`] (fixed, model-derived, or
-//!   adaptively controlled from the realized finish-time imbalance).
+//!   share a [`executor::SplitController`] adapts from the realized
+//!   finish-time imbalance.
 //! * [`pipeline`] — the single stage scheduler of Pipelined Sparse SUMMA:
 //!   issues broadcasts, submits launches, and drives merging off the
 //!   launches' completion events.
@@ -54,8 +54,8 @@ pub use active::{ActiveSet, ActiveSetPolicy, InvalidActiveSet};
 pub use distmat::DistMatrix;
 pub use estimate::{EstimatorKind, MemoryEstimate, OverlapInputs, PhaseDecision, PhasePlanner};
 pub use executor::{
-    CpuPool, Executor, ExecutorKind, GpuExecutor, Hybrid, InvalidSplit, KernelLaunch, LaunchSpec,
-    MergeLaunch, MergeTask, SplitController, SplitPolicy,
+    CpuPool, Executor, ExecutorKind, GpuExecutor, Hybrid, KernelLaunch, LaunchSpec, MergeLaunch,
+    MergeTask, SplitController,
 };
 pub use merge::{
     merge_with, ArenaPool, ColsRef, MergeArena, MergeKernelPolicy, MergeSlab, MergeSpan,

@@ -156,11 +156,10 @@ pub struct MergeSpan {
     pub elems: u64,
     /// Index of the worker lane (socket) it occupied.
     pub lane: usize,
-    /// The lane submission-time pinning would have chosen (the task's
-    /// origin queue; equals `lane` unless the merge was stolen).
+    /// The least-busy lane at submission time (the task's origin queue;
+    /// equals `lane` unless the merge was stolen).
     pub origin: usize,
-    /// Whether the occupying lane stole the task from its origin queue
-    /// (only under `StealPolicy::CostAware`).
+    /// Whether the occupying lane stole the task from its origin queue.
     pub stolen: bool,
     /// Wall seconds the real merge compute took on the host, sampled
     /// only under `TimeModel::Measured` (`0.0` under `Modeled`, which

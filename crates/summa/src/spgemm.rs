@@ -27,9 +27,7 @@ use crate::estimate::{
     estimate_memory_in, plan_phases, plan_phases_overlap, EstimatorKind, MemoryEstimate,
     OverlapInputs, PhaseDecision, PhasePlanner,
 };
-use crate::executor::{
-    CpuPool, Executor, ExecutorKind, GpuExecutor, Hybrid, InvalidSplit, StealPolicy,
-};
+use crate::executor::{CpuPool, Executor, ExecutorKind, GpuExecutor, Hybrid};
 use crate::merge::{MergeKernelPolicy, MergeSpan, MergeStats, MergeStrategy};
 use crate::pipeline::{self, PipelineOutcome};
 use hipmcl_comm::clock::StageTimers;
@@ -143,10 +141,6 @@ pub struct SummaConfig {
     /// Where local multiplications execute (devices, CPU worker pool, or
     /// a hybrid column split across both).
     pub executor: ExecutorKind,
-    /// Whether an idle merge lane may steal a task pinned to another lane
-    /// when the modeled steal-time (cross-socket penalty included) beats
-    /// waiting. Never changes results, only the virtual schedule.
-    pub steal: StealPolicy,
     /// How stage operand panels are communicated (tree broadcast always,
     /// or the per-stage modeled broadcast/gather choice). Never changes
     /// numeric results, only the virtual comm schedule.
@@ -170,7 +164,6 @@ impl SummaConfig {
             merge_kernel: MergeKernelPolicy::Fixed(MergeKernel::Heap),
             pipelined: false,
             executor: ExecutorKind::Gpus,
-            steal: StealPolicy::Off,
             comm: CommPolicy::Broadcast,
             seed: 0,
         }
@@ -194,7 +187,6 @@ impl SummaConfig {
             merge_kernel: MergeKernelPolicy::Fixed(MergeKernel::Heap),
             pipelined: false,
             executor: ExecutorKind::Gpus,
-            steal: StealPolicy::Off,
             comm: CommPolicy::Hybrid,
             seed: 0,
         }
@@ -217,7 +209,6 @@ impl SummaConfig {
             merge_kernel: MergeKernelPolicy::Auto,
             pipelined: true,
             executor: ExecutorKind::Gpus,
-            steal: StealPolicy::CostAware,
             comm: CommPolicy::Hybrid,
             seed: 0,
         }
@@ -235,13 +226,11 @@ impl SummaConfig {
     }
 
     /// Checks the configuration for values that would misbehave at run
-    /// time: a fixed hybrid split outside `[0, 1]`, or an overlap-aware
-    /// planner with a degenerate search headroom. Entry points call this
-    /// and panic with the error's message; callers that accept untrusted
-    /// configuration should call it themselves first.
+    /// time: an overlap-aware planner with a degenerate search headroom.
+    /// Entry points call this and panic with the error's message; callers
+    /// that accept untrusted configuration should call it themselves
+    /// first.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        self.executor.validate()?;
-        self.steal.validate()?;
         if let PhasePlanner::OverlapAware { max_extra_phases } = self.planner {
             if max_extra_phases == 0 || max_extra_phases > 64 {
                 return Err(ConfigError::Planner { max_extra_phases });
@@ -255,8 +244,6 @@ impl SummaConfig {
 /// delegates here).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ConfigError {
-    /// A fixed hybrid split fraction outside `[0, 1]`.
-    Split(InvalidSplit),
     /// An overlap-aware planner whose search headroom is useless (0) or
     /// unreasonably wide (> 64 phases past the memory floor).
     Planner {
@@ -271,7 +258,6 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::Split(e) => e.fmt(f),
             ConfigError::Planner { max_extra_phases } => write!(
                 f,
                 "overlap-aware planner headroom must lie in 1..=64 phases, got {max_extra_phases}"
@@ -282,12 +268,6 @@ impl std::fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-impl From<InvalidSplit> for ConfigError {
-    fn from(e: InvalidSplit) -> Self {
-        ConfigError::Split(e)
-    }
-}
 
 impl From<crate::active::InvalidActiveSet> for ConfigError {
     fn from(e: crate::active::InvalidActiveSet) -> Self {
@@ -336,7 +316,7 @@ pub struct SummaOutput<T: Value = f64> {
     /// Realized GPU share of every hybrid submission, in submission order
     /// (0 for multiplications that ran entirely on the worker pool; empty
     /// for non-hybrid executors). The observable trace of the
-    /// [`SplitPolicy`](crate::executor::SplitPolicy) decisions.
+    /// [`SplitController`](crate::executor::SplitController) decisions.
     pub hybrid_fractions: Vec<f64>,
     /// Per-stage communication record: two entries per executed stage
     /// (operand `A` then `B`), with the panel bytes, chosen mode and the
@@ -570,7 +550,7 @@ where
 
     let (outcome, gpu_idle, merge_lane_idle, hybrid_fractions) = match cfg.executor {
         ExecutorKind::Gpus => {
-            let mut exec = GpuExecutor::new(gpus, comm.model()).with_steal(cfg.steal);
+            let mut exec = GpuExecutor::new(gpus, comm.model());
             let (o, idle, lane_idle) = run_on(
                 s,
                 grid,
@@ -586,7 +566,7 @@ where
             (o, idle, lane_idle, Vec::new())
         }
         ExecutorKind::CpuPool => {
-            let mut pool = CpuPool::for_model(comm.model()).with_steal(cfg.steal);
+            let mut pool = CpuPool::for_model(comm.model());
             let (o, idle, lane_idle) = run_on(
                 s,
                 grid,
@@ -601,8 +581,8 @@ where
             );
             (o, idle, lane_idle, Vec::new())
         }
-        ExecutorKind::Hybrid { split } => {
-            let mut hybrid = Hybrid::for_model(gpus, split, comm.model()).with_steal(cfg.steal);
+        ExecutorKind::Hybrid => {
+            let mut hybrid = Hybrid::for_model(gpus, comm.model());
             let (o, idle, lane_idle) = run_on(
                 s,
                 grid,
@@ -664,7 +644,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::SplitPolicy;
     use hipmcl_comm::{MachineModel, Universe};
     use hipmcl_sparse::{Idx, Triples};
     use rand::{Rng, SeedableRng};
@@ -709,7 +688,6 @@ mod tests {
             merge_kernel: MergeKernelPolicy::Auto,
             pipelined: false,
             executor: ExecutorKind::Gpus,
-            steal: StealPolicy::default(),
             comm: CommPolicy::Hybrid,
             seed: 7,
         }
@@ -790,57 +768,70 @@ mod tests {
 
     #[test]
     fn hybrid_executor_matches() {
-        let want = serial_product(28, 240, 11);
-        let splits = [
-            SplitPolicy::Fixed(0.0),
-            SplitPolicy::Fixed(0.5),
-            SplitPolicy::Fixed(0.85),
-            SplitPolicy::Fixed(1.0),
-            SplitPolicy::ModelDerived,
-            SplitPolicy::Adaptive,
-        ];
-        for split in splits {
-            let cfg = SummaConfig {
-                executor: ExecutorKind::Hybrid { split },
-                policy: SelectionPolicy::always_gpu(),
-                merge: MergeStrategy::Binary,
-                pipelined: true,
-                ..base_cfg()
-            };
-            let got = run_config(28, 240, 11, 4, cfg);
-            assert!(got.max_abs_diff(&want) < 1e-9, "split={split:?}");
-        }
-    }
-
-    #[test]
-    fn hybrid_fractions_recorded_per_stage() {
-        for split in [SplitPolicy::Fixed(0.85), SplitPolicy::Adaptive] {
+        // Narrow right operands leave each rank a column or two of `B`,
+        // where the rounded split gives the devices no columns (pool-only
+        // edge of `Hybrid::submit`); the full width splits between both.
+        // The device-only edge needs a seeded controller and is covered
+        // by `executor::tests::hybrid_splits_and_matches_reference`.
+        let g = Csc::from_triples(&random_global(40, 340, 11));
+        let mut fracs = Vec::new();
+        for n in [1usize, 2, 3, 9, 40] {
+            let want = hipmcl_spgemm::hash::multiply(&g, &g.column_slice(0..n));
             let results = Universe::run(4, MachineModel::summit(), move |comm| {
                 let grid = ProcGrid::new(comm);
-                let g = random_global(28, 300, 13);
-                let a = DistMatrix::from_global(&grid, &g);
+                let g = Csc::from_triples(&random_global(40, 340, 11));
+                let a = DistMatrix::from_global(&grid, &g.to_triples());
+                let b = DistMatrix::from_global(&grid, &g.column_slice(0..n).to_triples());
                 let mut gpus = MultiGpu::summit_node(grid.world.model());
                 let cfg = SummaConfig {
-                    executor: ExecutorKind::Hybrid { split },
+                    executor: ExecutorKind::Hybrid,
                     policy: SelectionPolicy::always_gpu(),
                     merge: MergeStrategy::Binary,
                     pipelined: true,
                     ..base_cfg()
                 };
-                let out = summa_spgemm(&grid, &mut gpus, &a, &a, &cfg);
-                (out.hybrid_fractions, out.kernels_used.len())
+                let out = summa_spgemm(&grid, &mut gpus, &a, &b, &cfg);
+                (out.c.gather_to_root(&grid), out.hybrid_fractions)
             });
-            for (fracs, stages) in results {
-                assert!(
-                    fracs.len() <= stages,
-                    "at most one split per stage (zero-flops stages skip)"
-                );
-                assert!(!fracs.is_empty(), "split={split:?}");
-                assert!(
-                    fracs.iter().all(|f| (0.0..=1.0).contains(f)),
-                    "split={split:?}: {fracs:?}"
-                );
-            }
+            let mut results = results.into_iter();
+            let (root, root_fracs) = results.next().unwrap();
+            fracs.extend(root_fracs);
+            fracs.extend(results.flat_map(|(_, f)| f));
+            let got = root.unwrap();
+            assert!(got.max_abs_diff(&want) < 1e-9, "n={n}");
+            assert_eq!(got.nnz(), want.nnz(), "n={n}");
+        }
+        assert!(fracs.contains(&0.0), "pool-only branch reached");
+        assert!(
+            fracs.iter().any(|&f| f > 0.0 && f < 1.0),
+            "split branch reached: {fracs:?}"
+        );
+    }
+
+    #[test]
+    fn hybrid_fractions_recorded_per_stage() {
+        let results = Universe::run(4, MachineModel::summit(), move |comm| {
+            let grid = ProcGrid::new(comm);
+            let g = random_global(28, 300, 13);
+            let a = DistMatrix::from_global(&grid, &g);
+            let mut gpus = MultiGpu::summit_node(grid.world.model());
+            let cfg = SummaConfig {
+                executor: ExecutorKind::Hybrid,
+                policy: SelectionPolicy::always_gpu(),
+                merge: MergeStrategy::Binary,
+                pipelined: true,
+                ..base_cfg()
+            };
+            let out = summa_spgemm(&grid, &mut gpus, &a, &a, &cfg);
+            (out.hybrid_fractions, out.kernels_used.len())
+        });
+        for (fracs, stages) in results {
+            assert!(
+                fracs.len() <= stages,
+                "at most one split per stage (zero-flops stages skip)"
+            );
+            assert!(!fracs.is_empty());
+            assert!(fracs.iter().all(|f| (0.0..=1.0).contains(f)), "{fracs:?}");
         }
     }
 
@@ -855,29 +846,6 @@ mod tests {
             out.hybrid_fractions.len()
         });
         assert_eq!(results, vec![0]);
-    }
-
-    #[test]
-    fn invalid_fixed_split_is_rejected_by_validation() {
-        for bad in [-0.25, 1.25, f64::NAN] {
-            let cfg = SummaConfig {
-                executor: ExecutorKind::Hybrid {
-                    split: SplitPolicy::Fixed(bad),
-                },
-                ..base_cfg()
-            };
-            assert!(cfg.validate().is_err(), "bad={bad}");
-        }
-        assert!(base_cfg().validate().is_ok());
-        for ok in [0.0, 1.0] {
-            let cfg = SummaConfig {
-                executor: ExecutorKind::Hybrid {
-                    split: SplitPolicy::Fixed(ok),
-                },
-                ..base_cfg()
-            };
-            assert!(cfg.validate().is_ok(), "ok={ok}");
-        }
     }
 
     #[test]
@@ -1027,12 +995,7 @@ mod tests {
         let execs = [
             ExecutorKind::Gpus,
             ExecutorKind::CpuPool,
-            ExecutorKind::Hybrid {
-                split: SplitPolicy::Fixed(0.7),
-            },
-            ExecutorKind::Hybrid {
-                split: SplitPolicy::Adaptive,
-            },
+            ExecutorKind::Hybrid,
         ];
         for exec in execs {
             for pipelined in [false, true] {
@@ -1105,97 +1068,139 @@ mod tests {
     #[test]
     fn merge_spans_reconcile_with_lane_timelines() {
         // The acceptance property: no merge charges time outside the
-        // unified timelines, under either steal policy and on both a
-        // balanced and a lane-starved skewed workload. Per rank, the
-        // spans' durations must sum to the recorded merge time, the span
-        // count must equal merge_ops, the peak must be the largest span,
-        // and the per-lane gaps reconstructed from the spans must equal
-        // the executor's reported merge-lane idle (Timeline semantics:
-        // a leading gap — and a lane with zero tasks — counts as zero, so
-        // starved lanes add no phantom idle and steals none double).
-        for steal in StealPolicy::all() {
-            for skewed in [false, true] {
-                let results = Universe::run(4, MachineModel::summit(), move |comm| {
-                    let grid = ProcGrid::new(comm);
-                    let g = if skewed {
-                        skewed_global(40, 16)
-                    } else {
-                        random_global(40, 600, 16)
-                    };
-                    let a = DistMatrix::from_global(&grid, &g);
-                    let mut gpus = MultiGpu::summit_node(grid.world.model());
-                    let cfg = SummaConfig {
-                        phases: PhasePlan::Fixed(2),
-                        policy: SelectionPolicy::always_gpu(),
-                        merge: MergeStrategy::Binary,
-                        pipelined: true,
-                        steal,
-                        ..base_cfg()
-                    };
-                    let out = summa_spgemm(&grid, &mut gpus, &a, &a, &cfg);
-                    (
-                        out.merge_spans,
-                        out.merge_stats,
-                        out.merge_lane_idle,
-                        grid.world.model().sockets,
-                    )
-                });
-                for (spans, stats, lane_idle, sockets) in results {
-                    assert!(!spans.is_empty());
-                    assert_eq!(spans.len(), stats.merge_ops);
-                    let dur_sum: f64 = spans.iter().map(|s| s.duration()).sum();
-                    assert!(
-                        (dur_sum - stats.merge_time).abs() < 1e-9,
-                        "span durations {dur_sum} vs merge_time {}",
-                        stats.merge_time
-                    );
-                    let peak = spans.iter().map(|s| s.elems).max().unwrap();
-                    assert_eq!(peak as usize, stats.peak_merge_elems);
-                    for s in &spans {
-                        assert_eq!(
-                            s.stolen,
-                            s.lane != s.origin,
-                            "stolen flag must match lane vs origin"
-                        );
-                        if steal == StealPolicy::Off {
-                            assert!(!s.stolen, "pinning never steals");
-                        }
-                    }
-                    // Rebuild each lane's idle from its spans alone.
-                    let mut rebuilt = 0.0;
-                    for lane in 0..sockets {
-                        let mut on_lane: Vec<_> = spans.iter().filter(|s| s.lane == lane).collect();
-                        on_lane.sort_by(|x, y| x.start.partial_cmp(&y.start).unwrap());
-                        for pair in on_lane.windows(2) {
-                            rebuilt += (pair[1].start - pair[0].end).max(0.0);
-                        }
-                    }
-                    assert!(
-                        (rebuilt - lane_idle).abs() < 1e-9,
-                        "steal={steal:?} skewed={skewed}: lane gaps {rebuilt} \
-                         vs reported idle {lane_idle}"
+        // unified timelines, on both a balanced and a lane-starved skewed
+        // workload. Per rank, the spans' durations must sum to the
+        // recorded merge time, the span count must equal merge_ops, the
+        // peak must be the largest span, and the per-lane gaps
+        // reconstructed from the spans must equal the executor's reported
+        // merge-lane idle (Timeline semantics: a leading gap — and a lane
+        // with zero tasks — counts as zero, so starved lanes add no
+        // phantom idle and steals none double).
+        for skewed in [false, true] {
+            let results = Universe::run(4, MachineModel::summit(), move |comm| {
+                let grid = ProcGrid::new(comm);
+                let g = if skewed {
+                    skewed_global(40, 16)
+                } else {
+                    random_global(40, 600, 16)
+                };
+                let a = DistMatrix::from_global(&grid, &g);
+                let mut gpus = MultiGpu::summit_node(grid.world.model());
+                let cfg = SummaConfig {
+                    phases: PhasePlan::Fixed(2),
+                    policy: SelectionPolicy::always_gpu(),
+                    merge: MergeStrategy::Binary,
+                    pipelined: true,
+                    ..base_cfg()
+                };
+                let out = summa_spgemm(&grid, &mut gpus, &a, &a, &cfg);
+                (
+                    out.merge_spans,
+                    out.merge_stats,
+                    out.merge_lane_idle,
+                    grid.world.model().sockets,
+                )
+            });
+            for (spans, stats, lane_idle, sockets) in results {
+                assert!(!spans.is_empty());
+                assert_eq!(spans.len(), stats.merge_ops);
+                let dur_sum: f64 = spans.iter().map(|s| s.duration()).sum();
+                assert!(
+                    (dur_sum - stats.merge_time).abs() < 1e-9,
+                    "span durations {dur_sum} vs merge_time {}",
+                    stats.merge_time
+                );
+                let peak = spans.iter().map(|s| s.elems).max().unwrap();
+                assert_eq!(peak as usize, stats.peak_merge_elems);
+                for s in &spans {
+                    assert_eq!(
+                        s.stolen,
+                        s.lane != s.origin,
+                        "stolen flag must match lane vs origin"
                     );
                 }
+                // Rebuild each lane's idle from its spans alone.
+                let mut rebuilt = 0.0;
+                for lane in 0..sockets {
+                    let mut on_lane: Vec<_> = spans.iter().filter(|s| s.lane == lane).collect();
+                    on_lane.sort_by(|x, y| x.start.partial_cmp(&y.start).unwrap());
+                    for pair in on_lane.windows(2) {
+                        rebuilt += (pair[1].start - pair[0].end).max(0.0);
+                    }
+                }
+                assert!(
+                    (rebuilt - lane_idle).abs() < 1e-9,
+                    "skewed={skewed}: lane gaps {rebuilt} vs reported idle {lane_idle}"
+                );
             }
         }
     }
 
     #[test]
-    fn steal_policy_never_changes_the_product() {
-        // The tentpole's bit-identity gate at the SUMMA level: stealing
-        // moves merges between lanes on the virtual clock but never
-        // touches operands, so the distributed product is unchanged.
+    fn pipelined_binary_merge_matches_serial_at_nine_ranks() {
+        // Merge-lane stealing moves merges between lanes on the virtual
+        // clock but never touches operands, so the 3×3-grid pipelined
+        // product with its accumulated (lane-homed) merges is unchanged.
         let want = serial_product(26, 220, 17);
-        for steal in StealPolicy::all() {
+        let cfg = SummaConfig {
+            merge: MergeStrategy::Binary,
+            pipelined: true,
+            ..base_cfg()
+        };
+        let got = run_config(26, 220, 17, 9, cfg);
+        assert!(got.max_abs_diff(&want) < 1e-9);
+        assert_eq!(got.nnz(), want.nnz());
+    }
+
+    #[test]
+    fn pipelined_timeline_covers_device_quiescence_and_kernel_time() {
+        // The pipelined schedule's timeline invariants on every rank: the
+        // host cannot finish before the devices go quiet, the devices
+        // cannot go quiet before the accumulated kernel time has elapsed,
+        // and the panels really were broadcast.
+        let results = Universe::run(4, MachineModel::summit_bench(), |comm| {
+            let grid = ProcGrid::new(comm);
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+            let n = 400;
+            let mut t = Triples::new(n, n);
+            for _ in 0..n * 100 {
+                t.push(
+                    rng.gen_range(0..n) as Idx,
+                    rng.gen_range(0..n) as Idx,
+                    rng.gen_range(0.5..1.5),
+                );
+            }
+            t.sum_duplicates();
+            let a = DistMatrix::from_global(&grid, &t);
+            let mut gpus = MultiGpu::summit_node(grid.world.model());
             let cfg = SummaConfig {
+                policy: SelectionPolicy::always_gpu(),
                 merge: MergeStrategy::Binary,
                 pipelined: true,
-                steal,
+                seed: 1,
                 ..base_cfg()
             };
-            let got = run_config(26, 220, 17, 9, cfg);
-            assert!(got.max_abs_diff(&want) < 1e-9, "{steal:?}");
-            assert_eq!(got.nnz(), want.nnz(), "{steal:?}");
+            let t0 = grid.world.now();
+            let out = summa_spgemm(&grid, &mut gpus, &a, &a, &cfg);
+            let quiescent = gpus
+                .devices
+                .iter()
+                .map(|d| d.quiescent_at())
+                .fold(0.0f64, f64::max);
+            (
+                grid.world.now() - t0,
+                quiescent - t0,
+                out.timers.get("local_spgemm"),
+                out.timers.get("summa_bcast"),
+            )
+        });
+        for (rank, (host, quiescent, spgemm, bcast)) in results.into_iter().enumerate() {
+            assert!(
+                host >= quiescent && quiescent >= spgemm,
+                "rank {rank}: host {host} >= device quiescence {quiescent} >= \
+                 local_spgemm {spgemm} must hold"
+            );
+            assert!(bcast > 0.0, "rank {rank}: summa_bcast {bcast}");
         }
     }
 
