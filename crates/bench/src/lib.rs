@@ -763,6 +763,33 @@ mod tests {
     }
 
     #[test]
+    fn optimizations_change_the_schedule_not_the_math() {
+        // Original HipMCL and the fully optimized preset differ in where
+        // and when each multiply and merge runs (kernels, estimator,
+        // pipelining, merge scheme), never in what is computed: every
+        // iteration must see the same flops and keep the same pruned
+        // nonzeros, and the runs must converge together to the same
+        // clusters. Isom100_1 holds too but costs ~95 s, so it is left to
+        // the harness binaries.
+        for d in [Dataset::Archaea, Dataset::Metaclust50] {
+            let run = |base| run_scattered(4, d, &bench_mcl_config_for(d, base));
+            let orig = run(MclConfig::original_hipmcl(4 << 30));
+            let opt = run(MclConfig::optimized(4 << 30));
+            let name = d.name();
+            assert_eq!(orig.iterations, opt.iterations, "{name}");
+            assert_eq!(orig.trace.len(), opt.trace.len(), "{name}");
+            for (i, (o, p)) in orig.trace.iter().zip(&opt.trace).enumerate() {
+                assert_eq!(o.flops, p.flops, "{name} iteration {i}: flops");
+                assert_eq!(
+                    o.nnz_pruned, p.nnz_pruned,
+                    "{name} iteration {i}: pruned nnz"
+                );
+            }
+            assert_eq!(orig.num_clusters, opt.num_clusters, "{name}");
+        }
+    }
+
+    #[test]
     fn comm_policy_preserves_clusters() {
         // How a panel travels never changes what arrives: cluster labels
         // must be bit-identical under both comm policies.

@@ -223,6 +223,32 @@ mod tests {
     }
 
     #[test]
+    fn estimators_without_keys_are_rejected() {
+        let kinds = |r| {
+            [
+                EstimatorKind::Probabilistic { r },
+                EstimatorKind::ProbabilisticGpu { r },
+                EstimatorKind::Hybrid {
+                    r,
+                    cf_threshold: 2.0,
+                },
+            ]
+        };
+        for kind in kinds(0) {
+            let c = MclConfig::testing(24).with_estimator(kind, 1 << 30);
+            let want = Err(ConfigError::EstimatorKeys(kind));
+            assert_eq!(c.summa.validate(), want);
+            assert_eq!(c.validate(), want);
+        }
+        // One key is legal: the estimate degenerates to the lower bound.
+        for kind in kinds(1) {
+            let c = MclConfig::testing(24).with_estimator(kind, 1 << 30);
+            assert_eq!(c.summa.validate(), Ok(()), "{kind:?}");
+            assert_eq!(c.validate(), Ok(()), "{kind:?}");
+        }
+    }
+
+    #[test]
     fn with_estimator_overrides_phases() {
         let c = MclConfig::testing(8).with_estimator(EstimatorKind::Probabilistic { r: 7 }, 1000);
         match c.summa.phases {

@@ -560,26 +560,34 @@ mod tests {
 
     #[test]
     fn every_executor_choice_matches_serial_clusters() {
+        // Both selection policies: under `cpu_only` no kind ever sees a
+        // GPU request, so `always_gpu` is what drives the device launches
+        // of `Gpus` and the column split of `Hybrid`.
+        use hipmcl_gpu::select::SelectionPolicy;
         use hipmcl_summa::executor::ExecutorKind;
         let g = planted(3, 6, 10, 29);
         let cfg = MclConfig::testing(12);
         let serial = crate::serial::cluster_serial(&g, &cfg);
-        for exec in [
-            ExecutorKind::Gpus,
-            ExecutorKind::CpuPool,
-            ExecutorKind::Hybrid,
-        ] {
-            let results = Universe::run(4, MachineModel::summit(), move |comm| {
-                let grid = ProcGrid::new(comm);
-                let mut gpus = MultiGpu::summit_node(grid.world.model());
-                let g = planted(3, 6, 10, 29);
-                let cfg = MclConfig::testing(12).with_executor(exec);
-                cluster_distributed(&grid, &mut gpus, &g, &cfg)
-            });
-            for r in &results {
-                assert_eq!(r.num_clusters, serial.num_clusters, "{exec:?}");
-                assert!(same_partition(&r.labels, &serial.labels), "{exec:?}");
-                assert!(r.cpu_idle >= 0.0 && r.gpu_idle >= 0.0, "{exec:?}");
+        for policy in [SelectionPolicy::cpu_only(), SelectionPolicy::always_gpu()] {
+            for exec in [
+                ExecutorKind::Gpus,
+                ExecutorKind::CpuPool,
+                ExecutorKind::Hybrid,
+            ] {
+                let results = Universe::run(4, MachineModel::summit(), move |comm| {
+                    let grid = ProcGrid::new(comm);
+                    let mut gpus = MultiGpu::summit_node(grid.world.model());
+                    let g = planted(3, 6, 10, 29);
+                    let mut cfg = MclConfig::testing(12).with_executor(exec);
+                    cfg.summa.policy = policy;
+                    cluster_distributed(&grid, &mut gpus, &g, &cfg)
+                });
+                let case = format!("{exec:?} under {policy:?}");
+                for r in &results {
+                    assert_eq!(r.num_clusters, serial.num_clusters, "{case}");
+                    assert!(same_partition(&r.labels, &serial.labels), "{case}");
+                    assert!(r.cpu_idle >= 0.0 && r.gpu_idle >= 0.0, "{case}");
+                }
             }
         }
     }

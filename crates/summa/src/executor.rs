@@ -2,47 +2,49 @@
 //! launch.
 //!
 //! The Pipelined Sparse SUMMA scheduler (`pipeline`) never cares *where* a
-//! local multiplication runs — it submits the selected kernel to an
-//! [`Executor`] and overlaps against the returned [`KernelLaunch`] events.
-//! Three executors implement the trait:
+//! local multiplication runs — it submits the selected kernel to the
+//! rank's [`Executor`] and overlaps against the returned [`KernelLaunch`]
+//! events. One executor type serves every configuration; its
+//! [`ExecutorKind`] decides where kernels land:
 //!
-//! * [`MultiGpu`] — the paper's configuration (§III-A): GPU kernels run
-//!   asynchronously on the devices (the host resumes after the input
-//!   transfer), CPU-selected kernels run inline on the host, exactly as
-//!   original HipMCL executes them.
-//! * [`CpuPool`] — a per-rank worker pool (the rayon thread pool executes
-//!   the real kernel) advancing its own [`Timeline`] like a device stream
-//!   does, which makes CPU kernels overlappable: "optimized HipMCL on
-//!   nodes without accelerators" gains the §III broadcast/merge overlap.
-//! * [`Hybrid`] — extends §III-A's multi-GPU column split to the CPU: a
-//!   fraction of `B`'s columns is multiplied on the devices while the
-//!   worker pool takes the trailing slab, and the output is a trivial
-//!   `hcat`. The fraction starts at the machine model's balance point
-//!   ([`MachineModel::hybrid_gpu_fraction`]) and is then adapted online
-//!   by a damped [`SplitController`] reading the realized finish-time
-//!   imbalance off the two sides' timelines.
+//! * [`ExecutorKind::Gpus`] — the paper's configuration (§III-A): GPU
+//!   kernels run asynchronously on the rank's [`MultiGpu`] devices (the
+//!   host resumes after the input transfer), CPU-selected kernels run
+//!   inline on the host, exactly as original HipMCL executes them.
+//! * [`ExecutorKind::CpuPool`] — a per-rank worker pool: every kernel is a
+//!   whole-node job on the executor's worker lanes, each a [`Timeline`]
+//!   advancing like a device stream does, which makes CPU kernels
+//!   overlappable: "optimized HipMCL on nodes without accelerators" gains
+//!   the §III broadcast/merge overlap.
+//! * [`ExecutorKind::Hybrid`] — extends §III-A's multi-GPU column split to
+//!   the CPU: a fraction of `B`'s columns is multiplied on the devices
+//!   while the worker lanes take the trailing slab, and the output is a
+//!   trivial `hcat`. The fraction starts at the machine model's balance
+//!   point ([`MachineModel::hybrid_gpu_fraction`]) and is then adapted
+//!   online by a damped [`SplitController`] reading the realized
+//!   finish-time imbalance off the two sides' timelines.
 //!
 //! Merging is a first-class executor task, not a side activity: the
 //! pipeline submits every merge operation as a [`MergeTask`] through
 //! [`Executor::submit_merge`], and the executor queues it on a host-side
-//! **merge lane** — one [`Timeline`] per socket of the machine model, so
-//! a NUMA node merges at its per-socket rate and inputs produced on the
-//! other socket pay the model's cross-socket penalty. On [`CpuPool`] (and
-//! the pool half of [`Hybrid`]) the merge lanes *are* the worker
-//! timelines, so merges genuinely contend with CPU-side SpGEMM for the
-//! same cores; on [`GpuExecutor`] the lanes are dedicated host-side
-//! timelines next to the device streams. Either way a merge's cost shows
-//! up only as a [`MergeLaunch`] span on a lane — there is no private
-//! merge clock anywhere.
+//! **lane** — one [`Timeline`] per socket of the machine model, so a NUMA
+//! node merges at its per-socket rate and inputs produced on the other
+//! socket pay the model's cross-socket penalty. There is one lane set per
+//! executor, and the kind decides what else runs on it: under `Gpus` the
+//! lanes carry only merges (next to the device streams), under `CpuPool`
+//! and `Hybrid` they also carry the CPU-side SpGEMM, so merges genuinely
+//! contend with it for the same cores. Either way a merge's cost shows up
+//! only as a [`MergeLaunch`] span on a lane — there is no private merge
+//! clock anywhere.
 //!
 //! All timestamps are virtual seconds on the owning rank's clock; the
-//! executors only read the clock value the scheduler passes in and never
-//! advance it themselves — waiting (and therefore idle accounting) is the
+//! executor only reads the clock value the scheduler passes in and never
+//! advances it itself — waiting (and therefore idle accounting) is the
 //! scheduler's job.
 
-use hipmcl_comm::{Event, MachineModel, MergeKernel, SpgemmKernel, TimeModel, Timeline};
+use hipmcl_comm::{Event, GpuLib, MachineModel, MergeKernel, SpgemmKernel, TimeModel, Timeline};
 use hipmcl_gpu::multi::MultiGpu;
-use hipmcl_sparse::{Csc, PlusTimes, Semiring, Value};
+use hipmcl_sparse::{Csc, Semiring, Value};
 use hipmcl_spgemm::CpuAlgo;
 
 /// Which executor a SUMMA run submits its local multiplications to.
@@ -68,13 +70,13 @@ pub struct LaunchSpec {
     /// Exact flop count the scheduler already derived for selection.
     pub flops: u64,
     /// Estimated compression factor `flops / nnz(C)` from the stage's
-    /// Cohen probe (already clamped so `cf_est ≥ 1`); executors use it to
-    /// evaluate the machine model's rate curves before the realized `cf`
-    /// is known.
+    /// Cohen probe (already clamped so `cf_est ≥ 1`); the executor uses it
+    /// to evaluate the machine model's rate curves before the realized
+    /// `cf` is known.
     pub cf_est: f64,
-    /// The universe's time model. Executors key their timelines off the
-    /// modeled clock either way; under [`TimeModel::Measured`] they
-    /// additionally stamp each launch's real host compute with wall
+    /// The universe's time model. The executor keys its timelines off the
+    /// modeled clock either way; under [`TimeModel::Measured`] it
+    /// additionally stamps each launch's real host compute with wall
     /// seconds ([`KernelLaunch::measured_s`]). Under
     /// [`TimeModel::Modeled`] the host clock is never read.
     pub time: TimeModel,
@@ -155,9 +157,9 @@ impl MergeTask {
     }
 }
 
-/// One merge operation as scheduled on an executor merge lane — the
-/// merge-side analogue of [`KernelLaunch`]. The real merging work is the
-/// pipeline's (`merge::merge_into`); this records only the span.
+/// One merge operation as scheduled on an executor lane — the merge-side
+/// analogue of [`KernelLaunch`]. The real merging work is the pipeline's
+/// (`merge::merge_into`); this records only the span.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MergeLaunch {
     /// Virtual time the merge began executing on its lane (≥ the
@@ -185,136 +187,8 @@ fn remote_elems(task: &MergeTask, lane: usize) -> u64 {
         .sum()
 }
 
-/// Places `task` on one of `lanes` and returns the span.
-///
-/// The task conceptually lands in the queue of its *origin* lane — the
-/// least-busy lane at submission time. Every lane then competes for the
-/// task: lane `l` would finish it at `max(ready_at, busy_until(l)) +
-/// duration(l)` where the duration prices remote-homed inputs at the
-/// model's cross-socket penalty ([`MachineModel::merge_lane_time_with`]),
-/// and the earliest modeled completion wins. A lane other than the origin
-/// winning is a *steal*: it only happens when the thief's
-/// penalty-inclusive time beats waiting in the origin's queue. Ties break toward the lane that opens the smallest idle gap
-/// (`ready_at − busy_until`, zero for a lane with no jobs yet, whose
-/// leading gap is not accounted idle), then the lowest index — fully
-/// deterministic, like every other scheduling rule in the simulator.
-/// Stealing only moves *when and where* a merge runs on the virtual clock,
-/// never its operands.
-fn submit_merge_on(
-    lanes: &mut [Timeline],
-    model: &MachineModel,
-    ready_at: f64,
-    task: &MergeTask,
-) -> MergeLaunch {
-    let n = lanes.len();
-    let dur_on = |lane: usize| {
-        model.merge_lane_time_with(
-            task.kernel,
-            task.total_elems(),
-            task.ways(),
-            remote_elems(task, lane),
-            n,
-        )
-    };
-    let origin = lanes
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| a.busy_until().partial_cmp(&b.busy_until()).unwrap())
-        .map(|(i, _)| i)
-        .expect("executors always have at least one merge lane");
-    let cost = |l: usize| {
-        let end = lanes[l].busy_until().max(ready_at) + dur_on(l);
-        let gap = if lanes[l].jobs() > 0 {
-            (ready_at - lanes[l].busy_until()).max(0.0)
-        } else {
-            0.0
-        };
-        (end, gap)
-    };
-    let lane = (0..n)
-        .min_by(|&i, &j| {
-            let (ei, gi) = cost(i);
-            let (ej, gj) = cost(j);
-            ei.partial_cmp(&ej)
-                .unwrap()
-                .then(gi.partial_cmp(&gj).unwrap())
-        })
-        .expect("executors always have at least one merge lane");
-    let dur = dur_on(lane);
-    let done = lanes[lane].submit(ready_at, dur);
-    MergeLaunch {
-        started_at: done.at - dur,
-        output_ready_at: done.at,
-        duration: dur,
-        lane,
-        origin,
-        stolen: lane != origin,
-    }
-}
-
-/// Sums the internal idle gaps of a set of lanes.
-fn lanes_idle(lanes: &[Timeline]) -> f64 {
-    lanes.iter().map(Timeline::idle_time).sum()
-}
-
-/// A target that local SpGEMM launches and merge operations are submitted
-/// to.
-///
-/// The trait is generic over the [`Semiring`] the multiplications run in;
-/// the default parameter keeps `dyn Executor` meaning the plus-times
-/// `f64` executor the MCL driver uses. Every concrete executor implements
-/// the trait for *all* semirings — scheduling (timelines, merge lanes,
-/// the hybrid split) is element-type-free, so the same scheduler instance
-/// works for shortest paths exactly as it does for MCL.
-pub trait Executor<S: Semiring = PlusTimes<f64>> {
-    /// Submits `C = A ⊗ B` in semiring `s` as described by `spec`,
-    /// starting at host virtual time `host_now`. Must not advance any
-    /// rank clock — the scheduler decides what to wait on.
-    fn submit(
-        &mut self,
-        s: S,
-        model: &MachineModel,
-        host_now: f64,
-        a: &Csc<S::Elem>,
-        b: &Csc<S::Elem>,
-        spec: LaunchSpec,
-    ) -> KernelLaunch<S::Elem>;
-
-    /// Submits one merge operation, ready at virtual time `ready_at`
-    /// (when its last input slab exists), onto a host-side merge lane.
-    /// Like [`submit`](Self::submit), never advances a rank clock.
-    fn submit_merge(
-        &mut self,
-        model: &MachineModel,
-        ready_at: f64,
-        task: &MergeTask,
-    ) -> MergeLaunch;
-
-    /// GPUs visible to kernel selection (0 keeps selection CPU-only).
-    fn gpus_available(&self) -> usize;
-
-    /// Accumulated device/worker idle time — the Table V "GPU idle"
-    /// column, read uniformly off the executor's timelines.
-    fn device_idle(&self) -> f64;
-
-    /// Accumulated idle on the merge lanes. For [`GpuExecutor`] the lanes
-    /// are dedicated (disjoint from [`device_idle`](Self::device_idle));
-    /// for [`CpuPool`]-backed executors the lanes are the shared worker
-    /// timelines, so this overlaps the pool's share of `device_idle`.
-    fn merge_lane_idle(&self) -> f64;
-
-    /// Number of merge lanes (per-socket [`Timeline`]s) merges can be
-    /// placed on. The pipeline sizes its per-lane
-    /// [`ArenaPool`](crate::merge::ArenaPool) from this, so every lane's
-    /// merges recycle buffers out of a lane-homed
-    /// [`MergeArena`](crate::merge::MergeArena).
-    fn merge_lane_count(&self) -> usize;
-
-    /// Resets all internal timelines (between pipeline sections).
-    fn reset_timelines(&mut self);
-}
-
-/// The CPU algorithm behind a CPU-side kernel selection.
+/// The CPU algorithm behind a CPU-side kernel selection (a GPU request
+/// that lands on the host runs the hash kernel).
 fn cpu_algo(kernel: SpgemmKernel) -> CpuAlgo {
     match kernel {
         SpgemmKernel::CpuHeap => CpuAlgo::Heap,
@@ -323,193 +197,27 @@ fn cpu_algo(kernel: SpgemmKernel) -> CpuAlgo {
     }
 }
 
-/// The paper's configuration (§III-A) behind the [`Executor`] contract:
-/// GPU kernels run asynchronously on the wrapped devices, CPU-selected
-/// kernels run inline on the host, and merges queue on dedicated
-/// host-side merge lanes — one [`Timeline`] per socket of the machine
-/// model, disjoint from the device streams, so
-/// [`merge_lane_idle`](Executor::merge_lane_idle) reconciles exactly with
-/// the gaps between the recorded merge spans.
-pub struct GpuExecutor<'g> {
-    gpus: &'g mut MultiGpu,
-    lanes: Vec<Timeline>,
-}
-
-impl<'g> GpuExecutor<'g> {
-    /// Wraps the rank's devices; merge lanes are sized to the model's
-    /// socket count.
-    pub fn new(gpus: &'g mut MultiGpu, model: &MachineModel) -> Self {
-        let lanes = (0..model.sockets.max(1)).map(|_| Timeline::new()).collect();
-        Self { gpus, lanes }
-    }
-
-    /// The host-side merge lanes (one per socket).
-    pub fn merge_lanes(&self) -> &[Timeline] {
-        &self.lanes
-    }
-
-    /// Places a merge on a host-side lane (see [`Executor::submit_merge`]).
-    /// Inherent so callers with a concrete executor need not name a
-    /// semiring — merge scheduling is element-type-free.
-    pub fn submit_merge(
-        &mut self,
-        model: &MachineModel,
-        ready_at: f64,
-        task: &MergeTask,
-    ) -> MergeLaunch {
-        submit_merge_on(&mut self.lanes, model, ready_at, task)
-    }
-
-    /// GPUs visible to kernel selection (see [`Executor::gpus_available`]).
-    pub fn gpus_available(&self) -> usize {
-        self.gpus.len()
-    }
-
-    /// Accumulated device idle (see [`Executor::device_idle`]).
-    pub fn device_idle(&self) -> f64 {
-        self.gpus.total_idle()
-    }
-
-    /// Accumulated merge-lane idle (see [`Executor::merge_lane_idle`]).
-    pub fn merge_lane_idle(&self) -> f64 {
-        lanes_idle(&self.lanes)
-    }
-
-    /// Number of dedicated merge lanes (see
-    /// [`Executor::merge_lane_count`]).
-    pub fn merge_lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Resets all internal timelines (see [`Executor::reset_timelines`]).
-    pub fn reset_timelines(&mut self) {
-        self.gpus.reset_timelines();
-        for lane in &mut self.lanes {
-            lane.reset();
-        }
-    }
-}
-
-impl<S: Semiring> Executor<S> for GpuExecutor<'_> {
-    fn submit(
-        &mut self,
-        s: S,
-        model: &MachineModel,
-        host_now: f64,
-        a: &Csc<S::Elem>,
-        b: &Csc<S::Elem>,
-        spec: LaunchSpec,
-    ) -> KernelLaunch<S::Elem> {
-        let w0 = wall_start(&spec);
-        match spec.kernel {
-            SpgemmKernel::Gpu(lib) => match self.gpus.multiply_in(s, host_now, a, b, lib) {
-                Ok(r) => KernelLaunch {
-                    c: r.c,
-                    kernel: spec.kernel,
-                    inputs_ready_at: r.inputs_transferred_at,
-                    output_ready_at: r.output_ready_at,
-                    host_compute: 0.0,
-                    kernel_time: r.output_ready_at - r.inputs_transferred_at,
-                    flops: r.flops,
-                    cf: r.cf,
-                    measured_s: wall_elapsed(w0),
-                },
-                // The devices cannot take this phase (out of memory): a
-                // busy or undersized engine degrades the launch to the
-                // host hash kernel instead of killing the rank. The
-                // modeled clock charges the CPU duration, so the slowdown
-                // shows up in reports rather than vanishing.
-                Err(e) => {
-                    eprintln!(
-                        "gpu launch degraded to CpuHash: {e} (increase phases or use a CPU \
-                         policy to avoid the fallback)"
-                    );
-                    let (c, cf) =
-                        cpu_algo(SpgemmKernel::CpuHash).multiply_measured_in(s, a, b, spec.flops);
-                    let dur = model.spgemm_time(SpgemmKernel::CpuHash, spec.flops, cf);
-                    KernelLaunch {
-                        c,
-                        kernel: SpgemmKernel::CpuHash,
-                        inputs_ready_at: host_now + dur,
-                        output_ready_at: host_now + dur,
-                        host_compute: dur,
-                        kernel_time: dur,
-                        flops: spec.flops,
-                        cf,
-                        measured_s: wall_elapsed(w0),
-                    }
-                }
-            },
-            cpu_kernel => {
-                // Inline on the host, as original HipMCL runs CPU kernels:
-                // the host is busy (not idle) for the whole duration and
-                // cannot issue the next broadcast meanwhile.
-                let (c, cf) = cpu_algo(cpu_kernel).multiply_measured_in(s, a, b, spec.flops);
-                let dur = model.spgemm_time(cpu_kernel, spec.flops, cf);
-                KernelLaunch {
-                    c,
-                    kernel: cpu_kernel,
-                    inputs_ready_at: host_now + dur,
-                    output_ready_at: host_now + dur,
-                    host_compute: dur,
-                    kernel_time: dur,
-                    flops: spec.flops,
-                    cf,
-                    measured_s: wall_elapsed(w0),
-                }
-            }
-        }
-    }
-
-    fn submit_merge(
-        &mut self,
-        model: &MachineModel,
-        ready_at: f64,
-        task: &MergeTask,
-    ) -> MergeLaunch {
-        GpuExecutor::submit_merge(self, model, ready_at, task)
-    }
-
-    fn gpus_available(&self) -> usize {
-        GpuExecutor::gpus_available(self)
-    }
-
-    fn device_idle(&self) -> f64 {
-        GpuExecutor::device_idle(self)
-    }
-
-    fn merge_lane_idle(&self) -> f64 {
-        GpuExecutor::merge_lane_idle(self)
-    }
-
-    fn merge_lane_count(&self) -> usize {
-        GpuExecutor::merge_lane_count(self)
-    }
-
-    fn reset_timelines(&mut self) {
-        GpuExecutor::reset_timelines(self)
-    }
-}
-
-/// A per-rank CPU worker pool with a device-like virtual timeline.
+/// The rank's target for local SpGEMM launches and merge operations.
 ///
-/// The real kernel executes through rayon (the kernels themselves are
-/// row-parallel); the modeled duration comes from the machine model's
-/// whole-node CPU rate, queued FIFO on the pool's [`Timeline`]. Handing a
-/// job to the pool is free for the host — that is what makes a CPU-only
-/// configuration pipelinable.
+/// The executor owns the scheduling state — the borrowed devices, one
+/// lane ([`Timeline`]) per socket of the machine model, and, for
+/// [`ExecutorKind::Hybrid`], the split controller and its record — and
+/// none of it depends on the element type, so [`submit`](Self::submit)
+/// takes the [`Semiring`] per launch: the same executor schedules shortest
+/// paths exactly as it does MCL.
 ///
 /// # Example
 ///
-/// Two launches submitted back-to-back queue FIFO; a launch that only
-/// becomes ready after the previous one finished leaves a measurable idle
-/// gap on the pool's timeline (the Table V "GPU idle" analogue for
-/// accelerator-less nodes):
+/// Under [`ExecutorKind::CpuPool`] two launches submitted back-to-back
+/// queue FIFO; a launch that only becomes ready after the previous one
+/// finished leaves a measurable idle gap on every worker lane (the
+/// Table V "GPU idle" analogue for accelerator-less nodes):
 ///
 /// ```
 /// use hipmcl_comm::{MachineModel, SpgemmKernel, TimeModel};
+/// use hipmcl_gpu::multi::MultiGpu;
 /// use hipmcl_sparse::PlusTimes;
-/// use hipmcl_summa::executor::{CpuPool, Executor, LaunchSpec};
+/// use hipmcl_summa::executor::{Executor, ExecutorKind, LaunchSpec};
 /// use hipmcl_spgemm::testutil::random_csc;
 ///
 /// let model = MachineModel::summit();
@@ -521,152 +229,103 @@ impl<S: Semiring> Executor<S> for GpuExecutor<'_> {
 ///     time: TimeModel::Modeled,
 /// };
 ///
-/// let mut pool = CpuPool::new();
+/// let mut gpus = MultiGpu::new(model.clone(), 0, 0);
+/// let mut pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &model);
 /// let pt = PlusTimes::<f64>::new();
-/// let l1 = pool.submit(pt, &model, 0.0, &a, &a, spec);
+/// let l1 = pool.submit(pt, 0.0, &a, &a, spec);
 /// assert_eq!(l1.inputs_ready_at, 0.0, "handoff is free for the host");
 ///
-/// // Ready 1 s after the first launch completed: the pool sat idle in
-/// // between, and the gap is exactly what `device_idle` reports.
-/// let l2 = pool.submit(pt, &model, l1.output_ready_at + 1.0, &a, &a, spec);
+/// // Ready 1 s after the first launch completed: each of the model's
+/// // socket lanes sat idle in between, and `device_idle` sums the gaps.
+/// let l2 = pool.submit(pt, l1.output_ready_at + 1.0, &a, &a, spec);
 /// assert!(l2.output_ready_at > l1.output_ready_at);
-/// assert!((pool.device_idle() - 1.0).abs() < 1e-9);
+/// assert!((pool.device_idle() - model.sockets as f64).abs() < 1e-9);
 /// ```
-///
-/// # NUMA lanes
-///
-/// [`CpuPool::for_model`] sizes the pool from the machine model's node
-/// topology — one lane (a [`Timeline`]) per socket, `model.threads`
-/// workers overall — instead of a flat process-wide constant. A
-/// whole-node SpGEMM occupies **every** lane (the kernels are
-/// row-parallel across all cores); a merge occupies **one** lane at the
-/// per-socket rate, so merges genuinely contend with SpGEMM for the same
-/// cores and two merges can run socket-parallel. Merge inputs homed on
-/// the other socket pay the model's cross-socket penalty.
-pub struct CpuPool {
-    threads: usize,
+pub struct Executor<'g> {
+    kind: ExecutorKind,
+    gpus: &'g mut MultiGpu,
     lanes: Vec<Timeline>,
+    model: MachineModel,
+    controller: Option<SplitController>,
+    fractions: Vec<f64>,
 }
 
-impl Default for CpuPool {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CpuPool {
-    /// A single-lane pool sized to the rayon thread pool of this process
-    /// (no NUMA structure — the legacy shape, kept for direct use).
-    pub fn new() -> Self {
+impl<'g> Executor<'g> {
+    /// An executor of `kind` over the rank's devices, with one lane per
+    /// socket of `model` (the model also prices every launch and merge).
+    pub fn new(kind: ExecutorKind, gpus: &'g mut MultiGpu, model: &MachineModel) -> Self {
         Self {
-            threads: rayon::current_num_threads().max(1),
-            lanes: vec![Timeline::new()],
-        }
-    }
-
-    /// A pool sized from the machine model's node topology: one lane per
-    /// socket, `model.threads` workers.
-    pub fn for_model(model: &MachineModel) -> Self {
-        Self {
-            threads: model.threads.max(1),
+            kind,
+            gpus,
             lanes: (0..model.sockets.max(1)).map(|_| Timeline::new()).collect(),
+            model: model.clone(),
+            controller: None,
+            fractions: Vec::new(),
         }
     }
 
-    /// Worker threads backing the pool.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The pool's first lane (jobs queued, idle gaps) — the whole pool
-    /// for a single-lane [`CpuPool::new`].
-    pub fn timeline(&self) -> &Timeline {
-        &self.lanes[0]
-    }
-
-    /// All worker lanes (one per socket).
-    pub fn lanes(&self) -> &[Timeline] {
-        &self.lanes
-    }
-
-    /// Queues a whole-node job (all lanes busy for `dur`, the machine
-    /// model's whole-node rate already being baked into `dur`); returns
-    /// the completion event, which is the slowest lane's.
-    fn node_job(&mut self, ready: f64, dur: f64) -> Event {
-        self.lanes
-            .iter_mut()
-            .map(|lane| lane.submit(ready, dur))
-            .max_by(|a, b| a.at.partial_cmp(&b.at).unwrap())
-            .expect("pool always has at least one lane")
-    }
-
-    /// Places a merge on a worker lane (see [`Executor::submit_merge`]).
-    /// Inherent so callers with a concrete pool need not name a semiring.
-    pub fn submit_merge(
-        &mut self,
-        model: &MachineModel,
-        ready_at: f64,
-        task: &MergeTask,
-    ) -> MergeLaunch {
-        submit_merge_on(&mut self.lanes, model, ready_at, task)
-    }
-
-    /// GPUs visible to kernel selection — always 0 for a pure pool.
-    pub fn gpus_available(&self) -> usize {
-        0
-    }
-
-    /// Accumulated worker idle (see [`Executor::device_idle`]).
-    pub fn device_idle(&self) -> f64 {
-        lanes_idle(&self.lanes)
-    }
-
-    /// Accumulated merge-lane idle — the merge lanes *are* the shared
-    /// worker timelines, so this equals [`CpuPool::device_idle`].
-    pub fn merge_lane_idle(&self) -> f64 {
-        self.device_idle()
-    }
-
-    /// Number of worker lanes merges can occupy (see
-    /// [`Executor::merge_lane_count`]).
-    pub fn merge_lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Resets all worker timelines (see [`Executor::reset_timelines`]).
-    pub fn reset_timelines(&mut self) {
-        for lane in &mut self.lanes {
-            lane.reset();
-        }
-    }
-}
-
-impl<S: Semiring> Executor<S> for CpuPool {
-    fn submit(
+    /// Submits `C = A ⊗ B` in semiring `s` as described by `spec`,
+    /// starting at host virtual time `host_now`. Never advances a rank
+    /// clock — the scheduler decides what to wait on.
+    pub fn submit<S: Semiring>(
         &mut self,
         s: S,
-        model: &MachineModel,
         host_now: f64,
         a: &Csc<S::Elem>,
         b: &Csc<S::Elem>,
         spec: LaunchSpec,
     ) -> KernelLaunch<S::Elem> {
-        // Selection never yields a GPU kernel here (`gpus_available` is
-        // 0); a forced GPU request degrades to the hash kernel.
-        let cpu_kernel = match spec.kernel {
+        match (self.kind, spec.kernel) {
+            (ExecutorKind::Gpus, SpgemmKernel::Gpu(lib)) => {
+                self.device_launch(s, host_now, a, b, spec, lib)
+            }
+            (ExecutorKind::Hybrid, SpgemmKernel::Gpu(lib)) if !self.gpus.is_empty() => {
+                self.split_launch(s, host_now, a, b, spec, lib)
+            }
+            (kind, _) => {
+                if kind == ExecutorKind::Hybrid {
+                    // CPU-selected (small) multiplications go to the pool
+                    // whole.
+                    self.fractions.push(0.0);
+                }
+                self.cpu_launch(s, host_now, a, b, spec, wall_start(&spec))
+            }
+        }
+    }
+
+    /// Runs `spec` on a CPU kernel — a GPU request (forced, or fallen back
+    /// from the devices) degrades to the hash kernel. Under
+    /// [`ExecutorKind::Gpus`] it runs inline on the host, as original
+    /// HipMCL runs CPU kernels: the host is busy (not idle) for the whole
+    /// duration and cannot issue the next broadcast meanwhile. Otherwise
+    /// it is a whole-node job on the worker lanes, and handing it over is
+    /// free for the host — that is what makes a CPU-only configuration
+    /// pipelinable.
+    fn cpu_launch<S: Semiring>(
+        &mut self,
+        s: S,
+        host_now: f64,
+        a: &Csc<S::Elem>,
+        b: &Csc<S::Elem>,
+        spec: LaunchSpec,
+        w0: Option<std::time::Instant>,
+    ) -> KernelLaunch<S::Elem> {
+        let kernel = match spec.kernel {
             SpgemmKernel::Gpu(_) => SpgemmKernel::CpuHash,
             k => k,
         };
-        let w0 = wall_start(&spec);
-        let (c, cf) = cpu_algo(cpu_kernel).multiply_measured_in(s, a, b, spec.flops);
-        let dur = model.spgemm_time(cpu_kernel, spec.flops, cf);
-        let done = self.node_job(host_now, dur);
+        let (c, cf) = cpu_algo(kernel).multiply_measured_in(s, a, b, spec.flops);
+        let dur = self.model.spgemm_time(kernel, spec.flops, cf);
+        let (inputs_ready_at, output_ready_at, host_compute) = match self.kind {
+            ExecutorKind::Gpus => (host_now + dur, host_now + dur, dur),
+            _ => (host_now, self.node_job(host_now, dur).at, 0.0),
+        };
         KernelLaunch {
             c,
-            kernel: cpu_kernel,
-            inputs_ready_at: host_now,
-            output_ready_at: done.at,
-            host_compute: 0.0,
+            kernel,
+            inputs_ready_at,
+            output_ready_at,
+            host_compute,
             kernel_time: dur,
             flops: spec.flops,
             cf,
@@ -674,34 +333,276 @@ impl<S: Semiring> Executor<S> for CpuPool {
         }
     }
 
-    fn submit_merge(
+    /// Runs the whole multiply on the devices (§III-A).
+    fn device_launch<S: Semiring>(
         &mut self,
-        model: &MachineModel,
-        ready_at: f64,
-        task: &MergeTask,
-    ) -> MergeLaunch {
-        CpuPool::submit_merge(self, model, ready_at, task)
+        s: S,
+        host_now: f64,
+        a: &Csc<S::Elem>,
+        b: &Csc<S::Elem>,
+        spec: LaunchSpec,
+        lib: GpuLib,
+    ) -> KernelLaunch<S::Elem> {
+        let w0 = wall_start(&spec);
+        match self.gpus.multiply_in(s, host_now, a, b, lib) {
+            Ok(r) => KernelLaunch {
+                c: r.c,
+                kernel: spec.kernel,
+                inputs_ready_at: r.inputs_transferred_at,
+                output_ready_at: r.output_ready_at,
+                host_compute: 0.0,
+                kernel_time: r.output_ready_at - r.inputs_transferred_at,
+                flops: r.flops,
+                cf: r.cf,
+                measured_s: wall_elapsed(w0),
+            },
+            // The devices cannot take this phase (out of memory): a busy
+            // or undersized engine degrades the launch to the host hash
+            // kernel instead of killing the rank. The modeled clock
+            // charges the CPU duration, so the slowdown shows up in
+            // reports rather than vanishing.
+            Err(e) => {
+                eprintln!(
+                    "gpu launch degraded to CpuHash: {e} (increase phases or use a CPU \
+                     policy to avoid the fallback)"
+                );
+                self.cpu_launch(s, host_now, a, b, spec, w0)
+            }
+        }
     }
 
-    fn gpus_available(&self) -> usize {
-        CpuPool::gpus_available(self)
+    /// Column-splits a GPU-sized multiply: the devices take the leading
+    /// columns, the worker lanes the trailing slab, extending §III-A's
+    /// multi-GPU split by one more "device". Every realized share is
+    /// recorded (see [`fractions`](Self::fractions)) so the split
+    /// decision is an observable part of the pipeline, not a hidden
+    /// constant.
+    fn split_launch<S: Semiring>(
+        &mut self,
+        s: S,
+        host_now: f64,
+        a: &Csc<S::Elem>,
+        b: &Csc<S::Elem>,
+        spec: LaunchSpec,
+        lib: GpuLib,
+    ) -> KernelLaunch<S::Elem> {
+        let w0 = wall_start(&spec);
+        let n = b.ncols();
+        let frac = self.pick_fraction(lib, &spec);
+        let gcols = ((n as f64 * frac).round() as usize).min(n);
+        if gcols == 0 {
+            self.fractions.push(0.0);
+            return self.cpu_launch(s, host_now, a, b, spec, w0);
+        }
+        self.fractions.push(gcols as f64 / n.max(1) as f64);
+
+        let b_gpu = b.column_slice(0..gcols);
+        let r = match self.gpus.multiply_in(s, host_now, a, &b_gpu, lib) {
+            Ok(r) => r,
+            // Device out of memory: hand the whole multiply to the worker
+            // lanes instead of panicking, and record that the GPU took
+            // none of it so the adaptive fraction stays honest.
+            Err(e) => {
+                eprintln!(
+                    "hybrid gpu side degraded to the cpu pool: {e} (increase phases or use \
+                     a CPU policy to avoid the fallback)"
+                );
+                *self.fractions.last_mut().expect("fraction pushed above") = 0.0;
+                return self.cpu_launch(s, host_now, a, b, spec, w0);
+            }
+        };
+
+        let mut output_ready_at = r.output_ready_at;
+        let mut total_flops = r.flops;
+        let mut total_nnz = r.c.nnz() as u64;
+        let c = if gcols < n {
+            let b_cpu = b.column_slice(gcols..n);
+            let flops_cpu = hipmcl_spgemm::flops(a, &b_cpu);
+            let (c_cpu, cf_cpu) = CpuAlgo::Hash.multiply_measured_in(s, a, &b_cpu, flops_cpu);
+            let dur = self
+                .model
+                .spgemm_time(SpgemmKernel::CpuHash, flops_cpu, cf_cpu);
+            let done = self.node_job(host_now, dur);
+            output_ready_at = output_ready_at.max(done.at);
+            total_flops += flops_cpu;
+            total_nnz += c_cpu.nnz() as u64;
+            // Online feedback: the two sides' finish latencies from this
+            // submission instant are exactly the imbalance the controller
+            // drives to zero.
+            if let Some(ctl) = self.controller.as_mut() {
+                ctl.observe(r.output_ready_at - host_now, done.at - host_now);
+            }
+            Csc::hcat(&[r.c, c_cpu])
+        } else {
+            r.c
+        };
+        debug_assert_eq!(total_flops, spec.flops, "split must cover all columns");
+
+        let cf = if total_nnz == 0 {
+            1.0
+        } else {
+            total_flops as f64 / total_nnz as f64
+        };
+        KernelLaunch {
+            c,
+            kernel: spec.kernel,
+            // The host blocks on the GPU input transfers (the lane handoff
+            // is free), exactly like the pure multi-GPU path.
+            inputs_ready_at: r.inputs_transferred_at,
+            output_ready_at,
+            host_compute: 0.0,
+            kernel_time: output_ready_at - r.inputs_transferred_at,
+            flops: total_flops,
+            cf,
+            measured_s: wall_elapsed(w0),
+        }
     }
 
-    fn device_idle(&self) -> f64 {
-        CpuPool::device_idle(self)
+    /// The GPU share for this launch: the controller's current fraction,
+    /// seeded on the first split from the model's balance point.
+    fn pick_fraction(&mut self, lib: GpuLib, spec: &LaunchSpec) -> f64 {
+        let model = &self.model;
+        self.controller
+            .get_or_insert_with(|| {
+                SplitController::new(
+                    model.hybrid_gpu_fraction(lib, spec.flops, spec.cf_est),
+                    SPLIT_GAIN,
+                )
+            })
+            .fraction()
     }
 
-    fn merge_lane_idle(&self) -> f64 {
-        // The merge lanes are the shared worker timelines.
-        CpuPool::merge_lane_idle(self)
+    /// Queues a whole-node job (all lanes busy for `dur`, the machine
+    /// model's whole-node rate already being baked into `dur`; the
+    /// kernels are row-parallel across all cores); returns the completion
+    /// event, which is the slowest lane's.
+    fn node_job(&mut self, ready: f64, dur: f64) -> Event {
+        self.lanes
+            .iter_mut()
+            .map(|lane| lane.submit(ready, dur))
+            .max_by(|a, b| a.at.partial_cmp(&b.at).unwrap())
+            .expect("executors always have at least one lane")
     }
 
-    fn merge_lane_count(&self) -> usize {
-        CpuPool::merge_lane_count(self)
+    /// Places one merge operation, ready at virtual time `ready_at` (when
+    /// its last input slab exists), on one of the lanes and returns the
+    /// span. Like [`submit`](Self::submit), never advances a rank clock.
+    ///
+    /// The task conceptually lands in the queue of its *origin* lane — the
+    /// least-busy lane at submission time. Every lane then competes for
+    /// the task: lane `l` would finish it at
+    /// `max(ready_at, busy_until(l)) + duration(l)` where the duration
+    /// prices remote-homed inputs at the model's cross-socket penalty
+    /// ([`MachineModel::merge_lane_time_with`]), and the earliest modeled
+    /// completion wins. A lane other than the origin winning is a
+    /// *steal*: it only happens when the thief's penalty-inclusive time
+    /// beats waiting in the origin's queue. Ties break toward the lane
+    /// that opens the smallest idle gap (`ready_at − busy_until`, zero for
+    /// a lane with no jobs yet, whose leading gap is not accounted idle),
+    /// then the lowest index — fully deterministic, like every other
+    /// scheduling rule in the simulator. Stealing only moves *when and
+    /// where* a merge runs on the virtual clock, never its operands.
+    pub fn submit_merge(&mut self, ready_at: f64, task: &MergeTask) -> MergeLaunch {
+        let lanes = &mut self.lanes;
+        let n = lanes.len();
+        let dur_on = |lane: usize| {
+            self.model.merge_lane_time_with(
+                task.kernel,
+                task.total_elems(),
+                task.ways(),
+                remote_elems(task, lane),
+                n,
+            )
+        };
+        let origin = lanes
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| a.busy_until().partial_cmp(&b.busy_until()).unwrap())
+            .map(|(i, _)| i)
+            .expect("executors always have at least one lane");
+        let cost = |l: usize| {
+            let end = lanes[l].busy_until().max(ready_at) + dur_on(l);
+            let gap = if lanes[l].jobs() > 0 {
+                (ready_at - lanes[l].busy_until()).max(0.0)
+            } else {
+                0.0
+            };
+            (end, gap)
+        };
+        let lane = (0..n)
+            .min_by(|&i, &j| {
+                let (ei, gi) = cost(i);
+                let (ej, gj) = cost(j);
+                ei.partial_cmp(&ej)
+                    .unwrap()
+                    .then(gi.partial_cmp(&gj).unwrap())
+            })
+            .expect("executors always have at least one lane");
+        let dur = dur_on(lane);
+        let done = lanes[lane].submit(ready_at, dur);
+        MergeLaunch {
+            started_at: done.at - dur,
+            output_ready_at: done.at,
+            duration: dur,
+            lane,
+            origin,
+            stolen: lane != origin,
+        }
     }
 
-    fn reset_timelines(&mut self) {
-        CpuPool::reset_timelines(self)
+    /// GPUs visible to kernel selection (0 keeps selection CPU-only, as
+    /// under [`ExecutorKind::CpuPool`]).
+    pub fn gpus_available(&self) -> usize {
+        match self.kind {
+            ExecutorKind::CpuPool => 0,
+            _ => self.gpus.len(),
+        }
+    }
+
+    /// Accumulated device/worker idle time — the Table V "GPU idle"
+    /// column: the devices' idle under [`ExecutorKind::Gpus`], the
+    /// workers' under [`ExecutorKind::CpuPool`], both summed under
+    /// [`ExecutorKind::Hybrid`].
+    pub fn device_idle(&self) -> f64 {
+        match self.kind {
+            ExecutorKind::Gpus => self.gpus.total_idle(),
+            ExecutorKind::CpuPool => self.merge_lane_idle(),
+            ExecutorKind::Hybrid => self.gpus.total_idle() + self.merge_lane_idle(),
+        }
+    }
+
+    /// Accumulated idle on the lanes. Under [`ExecutorKind::Gpus`] the
+    /// lanes carry only merges (disjoint from
+    /// [`device_idle`](Self::device_idle)); otherwise they are the shared
+    /// worker timelines, so this overlaps the workers' share of
+    /// `device_idle`.
+    pub fn merge_lane_idle(&self) -> f64 {
+        self.lanes.iter().map(Timeline::idle_time).sum()
+    }
+
+    /// Number of lanes (per-socket [`Timeline`]s) merges can be placed
+    /// on. The pipeline sizes its per-lane
+    /// [`ArenaPool`](crate::merge::ArenaPool) from this, so every lane's
+    /// merges recycle buffers out of a lane-homed
+    /// [`MergeArena`](crate::merge::MergeArena).
+    pub fn merge_lane_count(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// Resets the device and lane timelines (between pipeline sections).
+    /// Device memory is kept.
+    pub fn reset_timelines(&mut self) {
+        self.gpus.reset_timelines();
+        for lane in &mut self.lanes {
+            lane.reset();
+        }
+    }
+
+    /// The realized GPU share of every submission so far, in order (0 for
+    /// multiplications that went to the worker lanes whole); empty unless
+    /// the kind is [`ExecutorKind::Hybrid`].
+    pub fn fractions(&self) -> &[f64] {
+        &self.fractions
     }
 }
 
@@ -716,7 +617,8 @@ pub const ADAPTIVE_MAX_FRACTION: f64 = 0.95;
 /// Default damping gain `γ` of the [`SplitController`] update.
 pub const SPLIT_GAIN: f64 = 0.5;
 
-/// Damped online feedback controller behind the [`Hybrid`] column split.
+/// Damped online feedback controller behind the [`ExecutorKind::Hybrid`]
+/// column split.
 ///
 /// After a stage splits its work `f : (1 − f)` between the devices and
 /// the pool, the two sides' finish latencies `t_G` and `t_C` (virtual
@@ -780,229 +682,10 @@ impl SplitController {
     }
 }
 
-/// Joint CPU+GPU execution: each GPU-sized multiplication is column-split
-/// between the devices (leading columns) and the worker pool (trailing
-/// columns), extending §III-A's multi-GPU split by one more "device".
-/// CPU-selected (small) multiplications go to the pool whole.
-///
-/// The per-stage GPU share comes from a [`SplitController`] seeded at the
-/// machine model's balance point; every realized share is recorded (see
-/// [`Hybrid::fractions`]) so the split decision is an observable part of
-/// the pipeline, not a hidden constant.
-pub struct Hybrid<'g> {
-    gpus: &'g mut MultiGpu,
-    pool: CpuPool,
-    controller: Option<SplitController>,
-    fractions: Vec<f64>,
-}
-
-impl<'g> Hybrid<'g> {
-    /// Wraps the rank's devices next to a single-lane [`CpuPool::new`].
-    pub fn new(gpus: &'g mut MultiGpu) -> Self {
-        Self {
-            gpus,
-            pool: CpuPool::new(),
-            controller: None,
-            fractions: Vec::new(),
-        }
-    }
-
-    /// Like [`Hybrid::new`], but the pool side is sized from the machine
-    /// model's node topology ([`CpuPool::for_model`]): NUMA merge lanes
-    /// shared with the CPU slab of every column split.
-    pub fn for_model(gpus: &'g mut MultiGpu, model: &MachineModel) -> Self {
-        let mut h = Self::new(gpus);
-        h.pool = CpuPool::for_model(model);
-        h
-    }
-
-    /// The realized GPU share of every submission so far, in order (0 for
-    /// multiplications that went to the pool whole).
-    pub fn fractions(&self) -> &[f64] {
-        &self.fractions
-    }
-
-    /// The GPU share for this launch: the controller's current fraction,
-    /// seeded on the first split from the model's balance point.
-    fn pick_fraction(
-        &mut self,
-        model: &MachineModel,
-        lib: hipmcl_comm::GpuLib,
-        spec: &LaunchSpec,
-    ) -> f64 {
-        self.controller
-            .get_or_insert_with(|| {
-                SplitController::new(
-                    model.hybrid_gpu_fraction(lib, spec.flops, spec.cf_est),
-                    SPLIT_GAIN,
-                )
-            })
-            .fraction()
-    }
-
-    /// Places a merge on the pool's worker lanes (see
-    /// [`Executor::submit_merge`]). Inherent so callers with a concrete
-    /// executor need not name a semiring.
-    pub fn submit_merge(
-        &mut self,
-        model: &MachineModel,
-        ready_at: f64,
-        task: &MergeTask,
-    ) -> MergeLaunch {
-        // Merges land on the pool's worker lanes, contending with the
-        // CPU slabs of the column splits for the same cores.
-        self.pool.submit_merge(model, ready_at, task)
-    }
-
-    /// GPUs visible to kernel selection (see [`Executor::gpus_available`]).
-    pub fn gpus_available(&self) -> usize {
-        self.gpus.len()
-    }
-
-    /// Accumulated device + worker idle (see [`Executor::device_idle`]).
-    pub fn device_idle(&self) -> f64 {
-        self.gpus.total_idle() + self.pool.device_idle()
-    }
-
-    /// Accumulated merge-lane idle (see [`Executor::merge_lane_idle`]).
-    pub fn merge_lane_idle(&self) -> f64 {
-        self.pool.merge_lane_idle()
-    }
-
-    /// Number of worker lanes merges can occupy (see
-    /// [`Executor::merge_lane_count`]) — the delegated pool's.
-    pub fn merge_lane_count(&self) -> usize {
-        self.pool.merge_lane_count()
-    }
-
-    /// Resets all internal timelines (see [`Executor::reset_timelines`]).
-    pub fn reset_timelines(&mut self) {
-        self.gpus.reset_timelines();
-        self.pool.reset_timelines();
-    }
-}
-
-impl<S: Semiring> Executor<S> for Hybrid<'_> {
-    fn submit(
-        &mut self,
-        s: S,
-        model: &MachineModel,
-        host_now: f64,
-        a: &Csc<S::Elem>,
-        b: &Csc<S::Elem>,
-        spec: LaunchSpec,
-    ) -> KernelLaunch<S::Elem> {
-        let n = b.ncols();
-        let lib = match spec.kernel {
-            SpgemmKernel::Gpu(lib) if !self.gpus.is_empty() => lib,
-            _ => {
-                self.fractions.push(0.0);
-                return self.pool.submit(s, model, host_now, a, b, spec);
-            }
-        };
-        let frac = self.pick_fraction(model, lib, &spec);
-        let gcols = ((n as f64 * frac).round() as usize).min(n);
-        if gcols == 0 {
-            self.fractions.push(0.0);
-            return self.pool.submit(s, model, host_now, a, b, spec);
-        }
-        self.fractions.push(gcols as f64 / n.max(1) as f64);
-
-        let w0 = wall_start(&spec);
-        let b_gpu = b.column_slice(0..gcols);
-        let r = match self.gpus.multiply_in(s, host_now, a, &b_gpu, lib) {
-            Ok(r) => r,
-            // Device out of memory: hand the whole multiply to the CPU
-            // pool instead of panicking, and record that the GPU took
-            // none of it so the adaptive fraction stays honest.
-            Err(e) => {
-                eprintln!(
-                    "hybrid gpu side degraded to the cpu pool: {e} (increase phases or use \
-                     a CPU policy to avoid the fallback)"
-                );
-                *self.fractions.last_mut().expect("fraction pushed above") = 0.0;
-                return self.pool.submit(s, model, host_now, a, b, spec);
-            }
-        };
-
-        let mut output_ready_at = r.output_ready_at;
-        let mut total_flops = r.flops;
-        let mut total_nnz = r.c.nnz() as u64;
-        let c = if gcols < n {
-            let b_cpu = b.column_slice(gcols..n);
-            let flops_cpu = hipmcl_spgemm::flops(a, &b_cpu);
-            let (c_cpu, cf_cpu) = CpuAlgo::Hash.multiply_measured_in(s, a, &b_cpu, flops_cpu);
-            let dur = model.spgemm_time(SpgemmKernel::CpuHash, flops_cpu, cf_cpu);
-            let done = self.pool.node_job(host_now, dur);
-            output_ready_at = output_ready_at.max(done.at);
-            total_flops += flops_cpu;
-            total_nnz += c_cpu.nnz() as u64;
-            // Online feedback: the two sides' finish latencies from this
-            // submission instant are exactly the imbalance the controller
-            // drives to zero.
-            if let Some(ctl) = self.controller.as_mut() {
-                ctl.observe(r.output_ready_at - host_now, done.at - host_now);
-            }
-            Csc::hcat(&[r.c, c_cpu])
-        } else {
-            r.c
-        };
-        debug_assert_eq!(total_flops, spec.flops, "split must cover all columns");
-
-        let cf = if total_nnz == 0 {
-            1.0
-        } else {
-            total_flops as f64 / total_nnz as f64
-        };
-        KernelLaunch {
-            c,
-            kernel: spec.kernel,
-            // The host blocks on the GPU input transfers (the pool handoff
-            // is free), exactly like the pure multi-GPU path.
-            inputs_ready_at: r.inputs_transferred_at,
-            output_ready_at,
-            host_compute: 0.0,
-            kernel_time: output_ready_at - r.inputs_transferred_at,
-            flops: total_flops,
-            cf,
-            measured_s: wall_elapsed(w0),
-        }
-    }
-
-    fn submit_merge(
-        &mut self,
-        model: &MachineModel,
-        ready_at: f64,
-        task: &MergeTask,
-    ) -> MergeLaunch {
-        Hybrid::submit_merge(self, model, ready_at, task)
-    }
-
-    fn gpus_available(&self) -> usize {
-        Hybrid::gpus_available(self)
-    }
-
-    fn device_idle(&self) -> f64 {
-        Hybrid::device_idle(self)
-    }
-
-    fn merge_lane_idle(&self) -> f64 {
-        Hybrid::merge_lane_idle(self)
-    }
-
-    fn merge_lane_count(&self) -> usize {
-        Hybrid::merge_lane_count(self)
-    }
-
-    fn reset_timelines(&mut self) {
-        Hybrid::reset_timelines(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hipmcl_comm::GpuLib;
+    use hipmcl_sparse::PlusTimes;
     use hipmcl_spgemm::testutil::random_csc;
     use proptest::prelude::*;
 
@@ -1031,10 +714,9 @@ mod tests {
     fn multigpu_executor_gpu_kernel_is_async() {
         let a = random_csc(30, 30, 260, 41);
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let mut exec = GpuExecutor::new(&mut gpus, &model());
+        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &model());
         let l = exec.submit(
             pt(),
-            &model(),
             1.0,
             &a,
             &a,
@@ -1054,15 +736,8 @@ mod tests {
     fn multigpu_executor_cpu_kernel_is_host_synchronous() {
         let a = random_csc(30, 30, 260, 42);
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let mut exec = GpuExecutor::new(&mut gpus, &model());
-        let l = exec.submit(
-            pt(),
-            &model(),
-            1.0,
-            &a,
-            &a,
-            spec_for(&a, SpgemmKernel::CpuHash),
-        );
+        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &model());
+        let l = exec.submit(pt(), 1.0, &a, &a, spec_for(&a, SpgemmKernel::CpuHash));
         assert!(l.c.max_abs_diff(&want(&a)) < 1e-9);
         assert_eq!(
             l.inputs_ready_at, l.output_ready_at,
@@ -1077,10 +752,9 @@ mod tests {
         let a = random_csc(30, 30, 260, 45);
         // Devices far too small for the operands: every launch OOMs.
         let mut gpus = MultiGpu::new(model(), 2, 64);
-        let mut exec = GpuExecutor::new(&mut gpus, &model());
+        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &model());
         let l = exec.submit(
             pt(),
-            &model(),
             1.0,
             &a,
             &a,
@@ -1100,10 +774,9 @@ mod tests {
     fn hybrid_oom_hands_the_whole_multiply_to_the_pool() {
         let a = random_csc(30, 30, 260, 46);
         let mut gpus = MultiGpu::new(model(), 2, 64);
-        let mut h = Hybrid::new(&mut gpus);
+        let mut h = Executor::new(ExecutorKind::Hybrid, &mut gpus, &model());
         let l = h.submit(
             pt(),
-            &model(),
             1.0,
             &a,
             &a,
@@ -1120,15 +793,9 @@ mod tests {
     #[test]
     fn cpu_pool_launches_are_async_and_fifo() {
         let a = random_csc(30, 30, 260, 43);
-        let mut pool = CpuPool::new();
-        let l1 = pool.submit(
-            pt(),
-            &model(),
-            1.0,
-            &a,
-            &a,
-            spec_for(&a, SpgemmKernel::CpuHash),
-        );
+        let mut gpus = MultiGpu::new(model(), 0, 0);
+        let mut pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &model());
+        let l1 = pool.submit(pt(), 1.0, &a, &a, spec_for(&a, SpgemmKernel::CpuHash));
         assert!(l1.c.max_abs_diff(&want(&a)) < 1e-9);
         assert_eq!(
             l1.inputs_ready_at, 1.0,
@@ -1137,27 +804,21 @@ mod tests {
         assert!(l1.output_ready_at > 1.0);
         assert_eq!(l1.host_compute, 0.0);
         // Second job ready immediately queues behind the first.
-        let l2 = pool.submit(
-            pt(),
-            &model(),
-            1.0,
-            &a,
-            &a,
-            spec_for(&a, SpgemmKernel::CpuHeap),
-        );
+        let l2 = pool.submit(pt(), 1.0, &a, &a, spec_for(&a, SpgemmKernel::CpuHeap));
         assert!(l2.output_ready_at > l1.output_ready_at);
-        assert_eq!(pool.timeline().jobs(), 2);
+        assert_eq!(pool.lanes[0].jobs(), 2);
         assert_eq!(pool.device_idle(), 0.0, "back-to-back jobs leave no gap");
-        assert!(pool.threads() >= 1);
     }
 
     #[test]
     fn cpu_pool_degrades_gpu_requests_to_hash() {
         let a = random_csc(20, 20, 120, 44);
-        let mut pool = CpuPool::new();
+        // Devices exist, but the pool neither exposes nor uses them.
+        let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
+        let mut pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &model());
+        assert_eq!(pool.gpus_available(), 0);
         let l = pool.submit(
             pt(),
-            &model(),
             0.0,
             &a,
             &a,
@@ -1170,7 +831,7 @@ mod tests {
     #[test]
     fn hybrid_splits_and_matches_reference() {
         // Narrow right operands push the rounded split onto both edges of
-        // `Hybrid::submit`: at the lower clamp a few columns round to no
+        // the hybrid `Executor::submit`: at the lower clamp a few columns round to no
         // GPU share (pool only), at the upper clamp they round to all of
         // them (devices only), and 40 columns split between the two.
         let a = random_csc(40, 40, 500, 45);
@@ -1186,9 +847,9 @@ mod tests {
                     time: TimeModel::Modeled,
                 };
                 let mut gpus = MultiGpu::new(model(), 3, 1 << 30);
-                let mut h = Hybrid::new(&mut gpus);
+                let mut h = Executor::new(ExecutorKind::Hybrid, &mut gpus, &model());
                 h.controller = Some(SplitController::new(seed, SPLIT_GAIN));
-                let l = h.submit(pt(), &model(), 0.0, &a, &b, spec);
+                let l = h.submit(pt(), 0.0, &a, &b, spec);
                 assert!(l.c.max_abs_diff(&w) < 1e-9, "seed={seed} n={n}");
                 assert_eq!(l.c.nnz(), w.nnz(), "seed={seed} n={n}");
                 assert_eq!(l.flops, spec.flops, "seed={seed} n={n}");
@@ -1211,15 +872,8 @@ mod tests {
     fn hybrid_sends_cpu_kernels_to_the_pool() {
         let a = random_csc(25, 25, 180, 46);
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let mut h = Hybrid::new(&mut gpus);
-        let l = h.submit(
-            pt(),
-            &model(),
-            2.0,
-            &a,
-            &a,
-            spec_for(&a, SpgemmKernel::CpuHeap),
-        );
+        let mut h = Executor::new(ExecutorKind::Hybrid, &mut gpus, &model());
+        let l = h.submit(pt(), 2.0, &a, &a, spec_for(&a, SpgemmKernel::CpuHeap));
         assert!(l.c.max_abs_diff(&want(&a)) < 1e-9);
         assert_eq!(
             l.inputs_ready_at, 2.0,
@@ -1233,10 +887,9 @@ mod tests {
     fn hybrid_without_devices_runs_entirely_on_pool() {
         let a = random_csc(20, 20, 140, 47);
         let mut gpus = MultiGpu::new(model(), 0, 1 << 30);
-        let mut h = Hybrid::new(&mut gpus);
+        let mut h = Executor::new(ExecutorKind::Hybrid, &mut gpus, &model());
         let l = h.submit(
             pt(),
-            &model(),
             0.0,
             &a,
             &a,
@@ -1264,12 +917,12 @@ mod tests {
         let a = random_csc(300, 300, 24000, 49);
         let spec = spec_for(&a, SpgemmKernel::Gpu(GpuLib::Nsparse));
         let mut gpus = MultiGpu::new(model(), 6, 1 << 30);
-        let mut h = Hybrid::new(&mut gpus);
+        let mut h = Executor::new(ExecutorKind::Hybrid, &mut gpus, &model());
         h.controller = Some(SplitController::new(0.2, SPLIT_GAIN));
         let mut gaps = Vec::new();
         let mut now = 0.0;
         for _ in 0..12 {
-            let l = h.submit(pt(), &model(), now, &a, &a, spec);
+            let l = h.submit(pt(), now, &a, &a, spec);
             now = l.output_ready_at;
             let gpu_done = h
                 .gpus
@@ -1277,7 +930,7 @@ mod tests {
                 .iter()
                 .map(|d| d.quiescent_at())
                 .fold(0.0, f64::max);
-            let pool_done = h.pool.timeline().busy_until();
+            let pool_done = h.lanes[0].busy_until();
             gaps.push((gpu_done - pool_done).abs());
         }
         assert!(
@@ -1295,17 +948,17 @@ mod tests {
         // Summit's model has two sockets → two merge lanes; two merges
         // ready at the same instant run socket-parallel, not queued.
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let mut exec = GpuExecutor::new(&mut gpus, &model());
-        assert_eq!(exec.merge_lanes().len(), 2);
+        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &model());
+        assert_eq!(exec.merge_lane_count(), 2);
         let t = merge_task(MergeKernel::Heap, vec![(50_000, None), (50_000, None)]);
-        let l1 = exec.submit_merge(&model(), 0.0, &t);
-        let l2 = exec.submit_merge(&model(), 0.0, &t);
+        let l1 = exec.submit_merge(0.0, &t);
+        let l2 = exec.submit_merge(0.0, &t);
         assert_ne!(l1.lane, l2.lane, "second merge takes the free lane");
         assert_eq!(l1.started_at, 0.0);
         assert_eq!(l2.started_at, 0.0);
         assert!((l1.output_ready_at - l1.duration).abs() < 1e-12);
         // A third merge must queue behind one of them.
-        let l3 = exec.submit_merge(&model(), 0.0, &t);
+        let l3 = exec.submit_merge(0.0, &t);
         assert!(l3.started_at >= l1.output_ready_at.min(l2.output_ready_at) - 1e-12);
     }
 
@@ -1316,10 +969,10 @@ mod tests {
         let m = MachineModel::summit_ranks_per_node(4);
         assert_eq!(m.sockets, 1);
         let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
-        let mut exec = GpuExecutor::new(&mut gpus, &m);
+        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
         let t = merge_task(MergeKernel::SpAdd, vec![(10_000, None); 4]);
-        let l1 = exec.submit_merge(&m, 0.0, &t);
-        let l2 = exec.submit_merge(&m, l1.output_ready_at + 0.25, &t);
+        let l1 = exec.submit_merge(0.0, &t);
+        let l2 = exec.submit_merge(l1.output_ready_at + 0.25, &t);
         assert!((l2.started_at - (l1.output_ready_at + 0.25)).abs() < 1e-12);
         assert!((exec.merge_lane_idle() - 0.25).abs() < 1e-12);
         assert_eq!(exec.device_idle(), 0.0, "device streams saw no merges");
@@ -1339,17 +992,17 @@ mod tests {
             vec![(40_000, Some(1)), (40_000, Some(1))],
         );
         let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
-        let mut exec = GpuExecutor::new(&mut gpus, &m);
-        let ll = exec.submit_merge(&m, 0.0, &local);
+        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
+        let ll = exec.submit_merge(0.0, &local);
         assert_eq!(ll.lane, 0, "inputs homed on lane 0 stay there");
         assert!(!ll.stolen);
         // Backlog the remote task's home lane so deeply that waiting for
         // it loses: the task must run on lane 0 and pay the penalty.
         let mut gpus2 = MultiGpu::new(m.clone(), 2, 1 << 30);
-        let mut exec2 = GpuExecutor::new(&mut gpus2, &m);
+        let mut exec2 = Executor::new(ExecutorKind::Gpus, &mut gpus2, &m);
         let big = merge_task(MergeKernel::Heap, vec![(50_000_000, Some(1)); 2]);
-        assert_eq!(exec2.submit_merge(&m, 0.0, &big).lane, 1);
-        let lr = exec2.submit_merge(&m, 0.0, &remote);
+        assert_eq!(exec2.submit_merge(0.0, &big).lane, 1);
+        let lr = exec2.submit_merge(0.0, &remote);
         assert_eq!(lr.lane, 0);
         let ratio = lr.duration / ll.duration;
         assert!(
@@ -1366,12 +1019,12 @@ mod tests {
         // records the steal.
         let m = model();
         let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
-        let mut exec = GpuExecutor::new(&mut gpus, &m);
+        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
         let remote = merge_task(
             MergeKernel::Heap,
             vec![(40_000, Some(1)), (40_000, Some(1))],
         );
-        let l = exec.submit_merge(&m, 0.0, &remote);
+        let l = exec.submit_merge(0.0, &remote);
         assert_eq!(l.lane, 1, "home lane wins the task");
         assert_eq!(l.origin, 0, "pinning would have picked lane 0");
         assert!(l.stolen);
@@ -1391,13 +1044,13 @@ mod tests {
         // affinity-greedy.
         let m = model();
         let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
-        let mut exec = GpuExecutor::new(&mut gpus, &m);
+        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
         // Backlog lane 1 with a huge merge homed there.
         let big = merge_task(MergeKernel::Heap, vec![(50_000_000, Some(1)); 2]);
-        let lb = exec.submit_merge(&m, 0.0, &big);
+        let lb = exec.submit_merge(0.0, &big);
         assert_eq!(lb.lane, 1);
         let small = merge_task(MergeKernel::Heap, vec![(40_000, Some(1)); 2]);
-        let ls = exec.submit_merge(&m, 0.0, &small);
+        let ls = exec.submit_merge(0.0, &small);
         assert_eq!(ls.lane, 0, "waiting behind the backlog would lose");
         assert_eq!(ls.origin, 0);
         assert!(!ls.stolen);
@@ -1417,13 +1070,13 @@ mod tests {
         let t_long = merge_task(MergeKernel::Heap, vec![(80_000, None); 2]);
         let probe = merge_task(MergeKernel::Heap, vec![(20_000, None); 2]);
         let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
-        let mut exec = GpuExecutor::new(&mut gpus, &m);
+        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
         // The gapless lane is the higher index, so the lowest-index
         // fallback alone would pick the gap-opening lane 0.
-        let a = exec.submit_merge(&m, 0.0, &t_short); // lane 0
-        let b = exec.submit_merge(&m, 0.0, &t_long); // lane 1
+        let a = exec.submit_merge(0.0, &t_short); // lane 0
+        let b = exec.submit_merge(0.0, &t_long); // lane 1
         assert_eq!((a.lane, b.lane), (0, 1));
-        let l = exec.submit_merge(&m, b.output_ready_at, &probe);
+        let l = exec.submit_merge(b.output_ready_at, &probe);
         assert_eq!(l.origin, 0, "the origin queue is the shorter backlog");
         assert_eq!(l.lane, 1, "equal finish → prefer the gapless lane");
         assert!(l.stolen);
@@ -1446,17 +1099,17 @@ mod tests {
         // to merge_lane_idle — neither under- nor double-counted.
         let m = model();
         let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
-        let mut exec = GpuExecutor::new(&mut gpus, &m);
+        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
         let t = merge_task(MergeKernel::Heap, vec![(30_000, Some(0)); 2]);
         let mut ready = 0.0;
         let mut spans = Vec::new();
         for _ in 0..4 {
-            let l = exec.submit_merge(&m, ready, &t);
+            let l = exec.submit_merge(ready, &t);
             assert_eq!(l.lane, 0, "home lane always wins: lane 1 starves");
             spans.push(l);
             ready = l.output_ready_at + 0.125; // open a real gap each time
         }
-        assert_eq!(exec.merge_lanes()[1].jobs(), 0, "lane 1 saw nothing");
+        assert_eq!(exec.lanes[1].jobs(), 0, "lane 1 saw nothing");
         let gaps: f64 = spans
             .windows(2)
             .map(|w| (w[1].started_at - w[0].output_ready_at).max(0.0))
@@ -1471,22 +1124,23 @@ mod tests {
     #[test]
     fn cpu_pool_sizes_from_model_topology() {
         let m = model();
-        let pool = CpuPool::for_model(&m);
-        assert_eq!(pool.threads(), m.threads, "workers = sockets × cores");
-        assert_eq!(pool.lanes().len(), m.sockets);
-        assert_eq!(CpuPool::new().lanes().len(), 1, "legacy pool is flat");
+        let mut gpus = MultiGpu::new(m.clone(), 0, 0);
+        let pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &m);
+        assert_eq!(pool.lanes.len(), m.sockets, "one lane per socket");
+        assert_eq!(pool.merge_lane_count(), m.sockets);
     }
 
     #[test]
     fn pool_merges_contend_with_spgemm_for_the_lanes() {
         let m = model();
         let a = random_csc(30, 30, 260, 50);
-        let mut pool = CpuPool::for_model(&m);
-        let k = pool.submit(pt(), &m, 0.0, &a, &a, spec_for(&a, SpgemmKernel::CpuHash));
+        let mut gpus = MultiGpu::new(m.clone(), 0, 0);
+        let mut pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &m);
+        let k = pool.submit(pt(), 0.0, &a, &a, spec_for(&a, SpgemmKernel::CpuHash));
         // The whole-node kernel holds every lane; a merge ready at 0 can
         // only start once a lane frees up.
         let t = merge_task(MergeKernel::BrMerge, vec![(1000, None), (1000, None)]);
-        let l = pool.submit_merge(&m, 0.0, &t);
+        let l = pool.submit_merge(0.0, &t);
         assert!(
             (l.started_at - k.output_ready_at).abs() < 1e-12,
             "merge waited for the SpGEMM to release its lane"
@@ -1511,23 +1165,10 @@ mod tests {
     #[test]
     fn reset_timelines_clears_idle_accounting() {
         let a = random_csc(20, 20, 120, 48);
-        let mut pool = CpuPool::new();
-        pool.submit(
-            pt(),
-            &model(),
-            0.0,
-            &a,
-            &a,
-            spec_for(&a, SpgemmKernel::CpuHash),
-        );
-        pool.submit(
-            pt(),
-            &model(),
-            1e9,
-            &a,
-            &a,
-            spec_for(&a, SpgemmKernel::CpuHash),
-        );
+        let mut gpus = MultiGpu::new(model(), 0, 0);
+        let mut pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &model());
+        pool.submit(pt(), 0.0, &a, &a, spec_for(&a, SpgemmKernel::CpuHash));
+        pool.submit(pt(), 1e9, &a, &a, spec_for(&a, SpgemmKernel::CpuHash));
         assert!(pool.device_idle() > 0.0);
         pool.reset_timelines();
         assert_eq!(pool.device_idle(), 0.0);

@@ -19,11 +19,11 @@
 //!   Cohen-sketch estimator (§V), plus the hybrid rule (exact when `cf` is
 //!   small).
 //! * [`executor`] — the kernel-execution layer: every local multiply is
-//!   an asynchronous [`executor::KernelLaunch`] submitted to an
-//!   [`executor::Executor`] — the devices ([`hipmcl_gpu::multi::MultiGpu`]),
-//!   a per-rank CPU worker pool ([`executor::CpuPool`]), or a
-//!   column-splitting [`executor::Hybrid`] of both whose per-stage GPU
-//!   share a [`executor::SplitController`] adapts from the realized
+//!   an asynchronous [`executor::KernelLaunch`] submitted to the rank's
+//!   one [`executor::Executor`], whose [`executor::ExecutorKind`] places
+//!   it on the devices ([`hipmcl_gpu::multi::MultiGpu`]), on a per-rank
+//!   CPU worker pool, or column-split across both with a per-stage GPU
+//!   share that a [`executor::SplitController`] adapts from the realized
 //!   finish-time imbalance.
 //! * [`pipeline`] — the single stage scheduler of Pipelined Sparse SUMMA:
 //!   issues broadcasts, submits launches, and drives merging off the
@@ -54,8 +54,7 @@ pub use active::{ActiveSet, ActiveSetPolicy, InvalidActiveSet};
 pub use distmat::DistMatrix;
 pub use estimate::{EstimatorKind, MemoryEstimate, OverlapInputs, PhaseDecision, PhasePlanner};
 pub use executor::{
-    CpuPool, Executor, ExecutorKind, GpuExecutor, Hybrid, KernelLaunch, LaunchSpec, MergeLaunch,
-    MergeTask, SplitController,
+    Executor, ExecutorKind, KernelLaunch, LaunchSpec, MergeLaunch, MergeTask, SplitController,
 };
 pub use merge::{
     merge_with, ArenaPool, ColsRef, MergeArena, MergeKernelPolicy, MergeSlab, MergeSpan,

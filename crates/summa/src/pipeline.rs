@@ -196,7 +196,7 @@ impl<S: Semiring> MergeEngine<S> {
     fn do_merge(
         &mut self,
         comm: &Comm,
-        exec: &mut dyn Executor<S>,
+        exec: &mut Executor,
         pool: &mut ArenaPool<S::Elem>,
         count: usize,
     ) {
@@ -207,7 +207,7 @@ impl<S: Semiring> MergeEngine<S> {
         let total: u64 = inputs.iter().map(|&(e, _)| e).sum();
         let kernel = self.policy.resolve(comm.model(), total, count);
         let task = MergeTask { kernel, inputs };
-        let launch = exec.submit_merge(comm.model(), ready, &task);
+        let launch = exec.submit_merge(ready, &task);
         // Wall sample of the real merge compute below; `measured_now`
         // is pinned to 0 under `Modeled`, so the delta costs nothing
         // there and the host clock stays untouched.
@@ -252,7 +252,7 @@ impl<S: Semiring> MergeEngine<S> {
     fn push_binary(
         &mut self,
         comm: &Comm,
-        exec: &mut dyn Executor<S>,
+        exec: &mut Executor,
         pool: &mut ArenaPool<S::Elem>,
         slab: Slab<S::Elem>,
     ) {
@@ -268,7 +268,7 @@ impl<S: Semiring> MergeEngine<S> {
     fn accept(
         &mut self,
         comm: &Comm,
-        exec: &mut dyn Executor<S>,
+        exec: &mut Executor,
         pool: &mut ArenaPool<S::Elem>,
         slab: Csc<S::Elem>,
         ready_at: f64,
@@ -306,7 +306,7 @@ impl<S: Semiring> MergeEngine<S> {
     /// Algorithm 2's `finish` collapse of the remaining stack). All of it
     /// is async lane work — the host does not wait here; that is
     /// [`drain`](Self::drain)'s job, which pipelining defers one phase.
-    fn seal(&mut self, comm: &Comm, exec: &mut dyn Executor<S>, pool: &mut ArenaPool<S::Elem>) {
+    fn seal(&mut self, comm: &Comm, exec: &mut Executor, pool: &mut ArenaPool<S::Elem>) {
         if let Some(prev) = self.pending.take() {
             self.push_binary(comm, exec, pool, prev);
         }
@@ -365,7 +365,7 @@ impl<S: Semiring> MergeEngine<S> {
 pub(crate) fn run<S, F>(
     s: S,
     grid: &ProcGrid,
-    exec: &mut dyn Executor<S>,
+    exec: &mut Executor,
     a: &DistMatrix<S::Elem>,
     b: &DistMatrix<S::Elem>,
     cfg: &SummaConfig,
@@ -478,7 +478,7 @@ where
                     cf_est: flops as f64 / nnz_probe.max(1) as f64,
                     time: comm.time_model(),
                 };
-                let launch = exec.submit(s, comm.model(), comm.now(), &a_blk, &b_blk, spec);
+                let launch = exec.submit(s, comm.now(), &a_blk, &b_blk, spec);
                 if cfg.pipelined {
                     // Host resumes as soon as the inputs are handed off.
                     comm.wait_clock_until(launch.inputs_ready_at);

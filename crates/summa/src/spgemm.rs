@@ -27,7 +27,7 @@ use crate::estimate::{
     estimate_memory_in, plan_phases, plan_phases_overlap, EstimatorKind, MemoryEstimate,
     OverlapInputs, PhaseDecision, PhasePlanner,
 };
-use crate::executor::{CpuPool, Executor, ExecutorKind, GpuExecutor, Hybrid};
+use crate::executor::{Executor, ExecutorKind};
 use crate::merge::{MergeKernelPolicy, MergeSpan, MergeStats, MergeStrategy};
 use crate::pipeline::{self, PipelineOutcome};
 use hipmcl_comm::clock::StageTimers;
@@ -226,7 +226,8 @@ impl SummaConfig {
     }
 
     /// Checks the configuration for values that would misbehave at run
-    /// time: an overlap-aware planner with a degenerate search headroom.
+    /// time: an overlap-aware planner with a degenerate search headroom,
+    /// or an `Auto` phase plan whose Cohen estimator has no keys.
     /// Entry points call this and panic with the error's message; callers
     /// that accept untrusted configuration should call it themselves
     /// first.
@@ -234,6 +235,14 @@ impl SummaConfig {
         if let PhasePlanner::OverlapAware { max_extra_phases } = self.planner {
             if max_extra_phases == 0 || max_extra_phases > 64 {
                 return Err(ConfigError::Planner { max_extra_phases });
+            }
+        }
+        if let PhasePlan::Auto { estimator, .. } = self.phases {
+            if let EstimatorKind::Probabilistic { r: 0 }
+            | EstimatorKind::ProbabilisticGpu { r: 0 }
+            | EstimatorKind::Hybrid { r: 0, .. } = estimator
+            {
+                return Err(ConfigError::EstimatorKeys(estimator));
             }
         }
         Ok(())
@@ -250,6 +259,10 @@ pub enum ConfigError {
         /// The offending headroom.
         max_extra_phases: usize,
     },
+    /// A Cohen-sketch estimator with `r = 0` keys per vertex, which has
+    /// nothing to estimate from (`r = 1` is legal: it degenerates to the
+    /// per-column lower bound).
+    EstimatorKeys(EstimatorKind),
     /// An active-set shrinking parameter out of range (reported through
     /// `MclConfig::validate`, which owns the policy).
     ActiveSet(crate::active::InvalidActiveSet),
@@ -261,6 +274,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Planner { max_extra_phases } => write!(
                 f,
                 "overlap-aware planner headroom must lie in 1..=64 phases, got {max_extra_phases}"
+            ),
+            ConfigError::EstimatorKeys(kind) => write!(
+                f,
+                "the {kind:?} estimator needs at least one key per vertex (r >= 1)"
             ),
             ConfigError::ActiveSet(e) => e.fmt(f),
         }
@@ -295,12 +312,14 @@ pub struct SummaOutput<T: Value = f64> {
     /// Host idle time spent waiting on launch events (Table V, CPU).
     pub cpu_idle: f64,
     /// Device/worker idle time off the executor's timelines (Table V,
-    /// GPU column; the pool's idle for CPU-only executors).
+    /// GPU column; the worker lanes' idle under
+    /// [`ExecutorKind::CpuPool`]).
     pub gpu_idle: f64,
-    /// Idle accumulated on the executor's merge lanes. Dedicated lanes
-    /// (GPU executor) are disjoint from [`gpu_idle`](Self::gpu_idle);
-    /// pool-backed executors share worker timelines with SpGEMM, so this
-    /// overlaps the pool's share of `gpu_idle`.
+    /// Idle accumulated on the executor's lanes. Under
+    /// [`ExecutorKind::Gpus`] they carry only merges and are disjoint from
+    /// [`gpu_idle`](Self::gpu_idle); the other kinds share them with
+    /// CPU-side SpGEMM, so this overlaps the workers' share of
+    /// `gpu_idle`.
     pub merge_lane_idle: f64,
     /// What the phase planner decided (candidates scored, memory floor),
     /// when `PhasePlan::Auto` ran with the overlap-aware planner.
@@ -315,7 +334,8 @@ pub struct SummaOutput<T: Value = f64> {
     pub kernels_used: Vec<SpgemmKernel>,
     /// Realized GPU share of every hybrid submission, in submission order
     /// (0 for multiplications that ran entirely on the worker pool; empty
-    /// for non-hybrid executors). The observable trace of the
+    /// unless the executor kind is [`ExecutorKind::Hybrid`]). The
+    /// observable trace of the
     /// [`SplitController`](crate::executor::SplitController) decisions.
     pub hybrid_fractions: Vec<f64>,
     /// Per-stage communication record: two entries per executed stage
@@ -398,37 +418,6 @@ pub fn summa_spgemm_in<S: Semiring>(
     cfg: &SummaConfig,
 ) -> SummaOutput<S::Elem> {
     summa_spgemm_with_in(s, grid, gpus, a, b, cfg, |_, c| c)
-}
-
-/// Runs the pipeline with idle accounting bracketed around it: timelines
-/// reset first (the gap between the previous expansion's last kernel and
-/// this one's first is not pipeline idle — Table V measures idleness
-/// *within* the Pipelined Sparse SUMMA), device idle read as a delta
-/// after.
-#[allow(clippy::too_many_arguments)]
-fn run_on<S, F>(
-    s: S,
-    grid: &ProcGrid,
-    exec: &mut dyn Executor<S>,
-    a: &DistMatrix<S::Elem>,
-    b: &DistMatrix<S::Elem>,
-    cfg: &SummaConfig,
-    phases: usize,
-    cf_hint: Option<f64>,
-    timers: &mut StageTimers,
-    on_slab: F,
-) -> (PipelineOutcome<S::Elem>, f64, f64)
-where
-    S: Semiring,
-    F: FnMut(usize, Csc<S::Elem>) -> Csc<S::Elem>,
-{
-    exec.reset_timelines();
-    let idle0 = exec.device_idle();
-    let lane_idle0 = exec.merge_lane_idle();
-    let outcome = pipeline::run(s, grid, exec, a, b, cfg, phases, cf_hint, timers, on_slab);
-    let device_idle = exec.device_idle() - idle0;
-    let merge_lane_idle = exec.merge_lane_idle() - lane_idle0;
-    (outcome, device_idle, merge_lane_idle)
 }
 
 /// Distributed `C = A·B` with a per-phase output hook.
@@ -548,57 +537,28 @@ where
         }
     });
 
-    let (outcome, gpu_idle, merge_lane_idle, hybrid_fractions) = match cfg.executor {
-        ExecutorKind::Gpus => {
-            let mut exec = GpuExecutor::new(gpus, comm.model());
-            let (o, idle, lane_idle) = run_on(
-                s,
-                grid,
-                &mut exec,
-                a,
-                b,
-                cfg,
-                phases,
-                cf_hint,
-                &mut timers,
-                on_slab,
-            );
-            (o, idle, lane_idle, Vec::new())
-        }
-        ExecutorKind::CpuPool => {
-            let mut pool = CpuPool::for_model(comm.model());
-            let (o, idle, lane_idle) = run_on(
-                s,
-                grid,
-                &mut pool,
-                a,
-                b,
-                cfg,
-                phases,
-                cf_hint,
-                &mut timers,
-                on_slab,
-            );
-            (o, idle, lane_idle, Vec::new())
-        }
-        ExecutorKind::Hybrid => {
-            let mut hybrid = Hybrid::for_model(gpus, comm.model());
-            let (o, idle, lane_idle) = run_on(
-                s,
-                grid,
-                &mut hybrid,
-                a,
-                b,
-                cfg,
-                phases,
-                cf_hint,
-                &mut timers,
-                on_slab,
-            );
-            let fractions = hybrid.fractions().to_vec();
-            (o, idle, lane_idle, fractions)
-        }
-    };
+    // Idle accounting is bracketed around the pipeline: the timelines
+    // start empty (the gap between the previous expansion's last kernel
+    // and this one's first is not pipeline idle — Table V measures
+    // idleness *within* the Pipelined Sparse SUMMA), so the idle read
+    // after the run is this multiply's alone.
+    let mut exec = Executor::new(cfg.executor, gpus, comm.model());
+    exec.reset_timelines();
+    let outcome = pipeline::run(
+        s,
+        grid,
+        &mut exec,
+        a,
+        b,
+        cfg,
+        phases,
+        cf_hint,
+        &mut timers,
+        on_slab,
+    );
+    let gpu_idle = exec.device_idle();
+    let merge_lane_idle = exec.merge_lane_idle();
+    let hybrid_fractions = exec.fractions().to_vec();
 
     let PipelineOutcome {
         mut slabs,
@@ -770,7 +730,7 @@ mod tests {
     fn hybrid_executor_matches() {
         // Narrow right operands leave each rank a column or two of `B`,
         // where the rounded split gives the devices no columns (pool-only
-        // edge of `Hybrid::submit`); the full width splits between both.
+        // edge of the hybrid `Executor::submit`); the full width splits between both.
         // The device-only edge needs a seeded controller and is covered
         // by `executor::tests::hybrid_splits_and_matches_reference`.
         let g = Csc::from_triples(&random_global(40, 340, 11));
